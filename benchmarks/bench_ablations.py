@@ -163,7 +163,7 @@ def test_ablation_minimal_clone_overhead(benchmark):
 
 
 def test_ablation_engine_parity_throughput(benchmark):
-    """Both engines agree bit-for-bit; the translator is much faster."""
+    """Both engines agree bit-for-bit; turbo is much faster."""
     import time
 
     workload = IndirectMicrobenchmark(
@@ -174,23 +174,23 @@ def test_ablation_engine_parity_throughput(benchmark):
     def measure():
         timings = {}
         counters = {}
-        for engine in ("interpret", "translate"):
+        for engine in ("reference", "turbo"):
             module, space = workload.build()
             machine = Machine(module, space, engine=engine)
             start = time.perf_counter()
             result = machine.run("main")
             timings[engine] = time.perf_counter() - start
             counters[engine] = result.counters.as_dict()
-        assert counters["interpret"] == counters["translate"]
+        assert counters["reference"] == counters["turbo"]
         return timings
 
     timings = benchmark.pedantic(measure, iterations=1, rounds=1)
     print(
-        f"\nengine ablation: interpret={timings['interpret']:.2f}s "
-        f"translate={timings['translate']:.2f}s "
-        f"({timings['interpret'] / timings['translate']:.1f}x)"
+        f"\nengine ablation: reference={timings['reference']:.2f}s "
+        f"turbo={timings['turbo']:.2f}s "
+        f"({timings['reference'] / timings['turbo']:.1f}x)"
     )
-    assert timings["translate"] < timings["interpret"]
+    assert timings["turbo"] < timings["reference"]
 
 
 def test_ablation_hw_prefetcher_interplay(benchmark):

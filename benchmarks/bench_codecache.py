@@ -1,11 +1,11 @@
 """Persistent AOT code-cache benchmark: cold codegen vs warm load.
 
-Times the compile phase of the pure-codegen engines two ways on one
-workload:
+Times the turbo engine's compile phase two ways over a workload
+ladder:
 
 * **cold** — the code cache force-disabled (``code_cache="off"``): the
   turbo engine runs superblock discovery + per-superblock codegen +
-  ``compile()``, the translate engine runs whole-function translation;
+  ``compile()``;
 * **warm** — a fresh :class:`~repro.machine.machine.Machine` pointed at
   a pre-populated cache directory: the marshaled code objects are
   loaded, validated and rebound instead of regenerated.
@@ -51,8 +51,8 @@ from repro.workloads.registry import make_workload
 #: noise floor would otherwise dominate a single-workload probe.
 DEFAULT_WORKLOADS = ("BFS-tiny", "Graph500", "BC-12K-d8", "PR-WG", "CG")
 
-#: The engines with a serializable compiled form (see CACHEABLE_ENGINES).
-ENGINES = ("turbo", "translate")
+#: The engines with a serializable compiled form.
+ENGINES = codecache.CACHEABLE_ENGINES
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_codecache.json"
 

@@ -1,4 +1,4 @@
-"""Engine-tier ladder benchmark: reference / translate / fast / turbo.
+"""Engine ladder benchmark: reference vs turbo.
 
 Times each execution engine end-to-end (workload build + run) on a set
 of loop-heavy suite workloads, twice per engine:
@@ -38,8 +38,8 @@ from repro.machine import ENGINES, Machine
 from repro.workloads.graphs import clear_graph_cache, graph_store
 from repro.workloads.registry import make_workload
 
-#: Slowest tier first so the JSON reads as a ladder.
-ENGINE_ORDER = ("reference", "translate", "fast", "turbo")
+#: Slowest engine first so the JSON reads as a ladder.
+ENGINE_ORDER = ("reference", "turbo")
 
 #: Loop-heavy suite members (the tier the turbo engine targets): a
 #: nested hash join, a Kronecker BFS, and the pointer-chasing update
@@ -54,7 +54,7 @@ def _timed_run(name: str, engine: str, scale: str) -> tuple[float, float, dict]:
 
     Returns ``(build_seconds, run_seconds, signature)`` — build covers
     workload construction (dataset generation included), run covers
-    engine compilation + execution, which is the part the tiers differ
+    engine compilation + execution, which is the part the engines differ
     on.
     """
     start = time.perf_counter()
@@ -69,7 +69,7 @@ def _timed_run(name: str, engine: str, scale: str) -> tuple[float, float, dict]:
 
 
 def measure_workload(name: str, scale: str, reps: int = 3) -> dict:
-    """Cold + warm wall-clock for every engine tier on one workload."""
+    """Cold + warm wall-clock for every engine on one workload."""
     rows: dict[str, dict] = {}
     signatures: dict[str, dict] = {}
     generated = 0
@@ -151,9 +151,7 @@ def run_benchmark(
         }
 
     report["summary"] = {
-        "turbo_vs_fast": speedups("fast", "turbo"),
         "turbo_vs_reference": speedups("reference", "turbo"),
-        "fast_vs_reference": speedups("reference", "fast"),
     }
     return report
 
@@ -167,9 +165,12 @@ def test_engine_tier_ladder(benchmark, scale):
     )
     print()
     print(json.dumps(report["summary"], indent=2))
-    # The bulk-stepping tier must not lose to the engine it supersedes.
-    for name, speedup in report["summary"]["turbo_vs_fast"].items():
-        assert speedup >= 1.0, f"turbo slower than fast on {name}: {speedup}x"
+    # The compiled engine must beat the interpreter it is checked
+    # against (the same 1.2x floor ci_perf_check.py --min-speedup uses).
+    for name, speedup in report["summary"]["turbo_vs_reference"].items():
+        assert speedup >= 1.2, (
+            f"turbo only {speedup}x over reference on {name}"
+        )
 
 
 # ----------------------------------------------------------------------

@@ -1,35 +1,35 @@
 """Batched multi-config sweep benchmark: one batched pass vs N runs.
 
 Times an 8-cell A&J prefetch-distance sweep (the Figure-6-style
-distance axis) on one workload three ways:
+distance axis) on one workload:
 
-* **batch tier** — all cells execute in a single
-  :func:`repro.machine.batch.run_batch` pass at ``tier="batch"``: one
-  shared front-end dispatches per-block chains while per-cell cache
-  hierarchies (L1/L2/LLC + MSHRs) track each cell's timing;
-* **batchturbo tier** — the same single pass at ``tier="batchturbo"``:
-  hot loop nests are fused into one generated superblock closure that
-  steps every cell per iteration (turbo-style loop fusion across
-  cells); and
+* **batched** — all cells execute in a single
+  :func:`repro.machine.batch.run_batch` pass on the ``batchturbo``
+  tier: hot loop nests are fused into one generated superblock closure
+  that steps every cell per iteration, while per-cell cache
+  hierarchies (L1/L2/LLC + MSHRs) track each cell's timing; and
 * **sequential** — the same cells run one at a time through a fresh
-  :class:`~repro.machine.machine.Machine` per cell, once per engine
-  tier (reference / fast / turbo).
+  :class:`~repro.machine.machine.Machine` per cell, on the ``turbo``
+  engine (the honest comparator: what a sweep costs without batching)
+  and on the ``reference`` interpreter.
 
 A second ladder — the 32-cell **distance x cache-scale grid**
-(:func:`measure_grid`) — times the two batch tiers against each other
+(:func:`measure_grid`) — times the batched pass against per-cell turbo
 on divergent cell configs (four cache scales per distance), the shape
 the batched superblock's per-cell overlays exist for.
 
+Batched and per-cell turbo runs are interleaved within each rep (best
+of reps kept), so machine drift hits both sides equally.
+
 Distances start at 2: at distance 1 the A&J pass folds the loop
 increment into the prefetch advance, which changes instruction shape
-per cell and (correctly) forces the batch tier's per-cell fallback —
-a valid configuration, but then the benchmark would be measuring the
-fallback path, not the batch engine.
+per cell and (correctly) forces the per-cell fallback — a valid
+configuration, but then the benchmark would be measuring the fallback
+path, not the batched tier.
 
 Every batched cell must be bit-identical (value + full counter vector)
-across both batch tiers and to its sequential fast-engine twin — a
-sweep benchmark whose cells computed different things would be
-meaningless.
+to its sequential twins — a sweep benchmark whose cells computed
+different things would be meaningless.
 
 Standalone use (writes ``BENCH_sweep.json`` next to this file)::
 
@@ -39,9 +39,7 @@ or as a bench test::
 
     pytest benchmarks/bench_sweep.py --benchmark-only
 
-See docs/PERFORMANCE.md for how to read the emitted JSON (including
-why the measured batchturbo-vs-batch ratio is workload-dependent and
-Amdahl-bounded by the genuinely simulated miss work both tiers share).
+See docs/PERFORMANCE.md for how to read the emitted JSON.
 """
 
 from __future__ import annotations
@@ -69,16 +67,13 @@ DEFAULT_DISTANCES = (2, 4, 8, 12, 16, 24, 32, 48)
 #: Cache-scale axis of the 32-cell grid ladder (distances x scales).
 DEFAULT_GRID_SCALES = (1, 2, 4, 8)
 
-#: Batched execution tiers, block-dispatch baseline first.
-BATCH_TIERS = ("batch", "batchturbo")
-
 DEFAULT_WORKLOAD = "BFS-tiny"
 
 #: Sequential comparators, slowest first.  ``reference`` is the
-#: canonical sequential replay a sweep would otherwise cost (and the
-#: tier the CI floor is measured against); fast/turbo show the batch
-#: tier still beats the compiled single-config engines.
-SEQUENTIAL_ENGINES = ("reference", "fast", "turbo")
+#: canonical sequential replay a sweep would otherwise cost; ``turbo``
+#: is the fastest single-config engine, the comparator a batched tier
+#: has to beat to pay for itself.
+SEQUENTIAL_ENGINES = ("reference", "turbo")
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent / "BENCH_sweep.json"
 
@@ -108,34 +103,57 @@ def _signature(result) -> dict:
     return {"value": result.value, **result.counters.as_dict()}
 
 
-def _time_tiers(
-    build, entry_hint: str, reps: int
-) -> tuple[dict, list[dict]]:
-    """Best-of-``reps`` wall-clock per batch tier, tiers interleaved
-    within each rep so machine drift hits both equally.  Asserts every
-    pass actually batched and that the tiers are bit-identical
-    per-cell; returns ``({tier: seconds}, signatures)``."""
-    tier_s = {tier: float("inf") for tier in BATCH_TIERS}
-    signatures: dict[str, list[dict]] = {}
-    for _ in range(reps):
-        for tier in BATCH_TIERS:
-            cells, entry = build()
-            start = time.perf_counter()
-            outcome = run_batch(cells, function=entry, tier=tier)
-            tier_s[tier] = min(tier_s[tier], time.perf_counter() - start)
-            if not outcome.batched:
-                raise AssertionError(
-                    f"{entry_hint}: sweep fell back to sequential "
-                    f"replay ({outcome.reason}) — the benchmark would "
-                    "not be measuring the batch engine"
-                )
-            signatures[tier] = [_signature(r) for r in outcome.results]
-    if signatures["batchturbo"] != signatures["batch"]:
+def _time_batched(build, label: str) -> tuple[float, list[dict]]:
+    """One batched pass: ``(seconds, per-cell signatures)``."""
+    cells, entry = build()
+    start = time.perf_counter()
+    outcome = run_batch(cells, function=entry)
+    seconds = time.perf_counter() - start
+    if not outcome.batched:
         raise AssertionError(
-            f"{entry_hint}: batchturbo cells are not bit-identical "
-            "with the block-dispatch batch tier"
+            f"{label}: sweep fell back to sequential replay "
+            f"({outcome.reason}) — the benchmark would not be measuring "
+            "the batched tier"
         )
-    return tier_s, signatures["batch"]
+    return seconds, [_signature(r) for r in outcome.results]
+
+
+def _time_sequential(build, engine: str) -> tuple[float, list[dict]]:
+    """The same cells one fresh Machine at a time on ``engine``."""
+    cells, entry = build()
+    start = time.perf_counter()
+    results = [
+        Machine(
+            cell.module, cell.space, config=replace(cell.config, engine=engine)
+        ).run(entry)
+        for cell in cells
+    ]
+    seconds = time.perf_counter() - start
+    return seconds, [_signature(r) for r in results]
+
+
+def _check_identical(label: str, engine: str, batched, sequential) -> None:
+    for index, (a, b) in enumerate(zip(batched, sequential)):
+        if a != b:
+            raise AssertionError(
+                f"{label}: batched cell {index} is not bit-identical with "
+                f"the sequential {engine} engine"
+            )
+
+
+def _time_ladder(build, label: str, engines: tuple, reps: int) -> dict:
+    """Best-of-``reps`` seconds for the batched pass and each
+    sequential engine, interleaved within every rep; asserts per-cell
+    bit-identity across all sides."""
+    best = {"batchturbo": float("inf"), **{e: float("inf") for e in engines}}
+    for _ in range(reps):
+        seconds, batched = _time_batched(build, label)
+        best["batchturbo"] = min(best["batchturbo"], seconds)
+        for engine in engines:
+            seconds, sequential = _time_sequential(build, engine)
+            best[engine] = min(best[engine], seconds)
+            _check_identical(label, engine, batched, sequential)
+    return best
 
 
 def measure_sweep(
@@ -144,65 +162,31 @@ def measure_sweep(
     distances: tuple = DEFAULT_DISTANCES,
     reps: int = 3,
 ) -> dict:
-    """Batched (both tiers) vs sequential wall-clock for one sweep.
+    """Batched vs sequential wall-clock for one 8-cell distance sweep.
 
-    Returns ``{"batched_s", "tiers": {tier: s}, "batchturbo_vs_batch",
-    "sequential_s": {engine: s}, "speedup": {engine: ratio}, ...}``
-    where each time is the best of ``reps`` (cell construction
-    excluded — it is identical on all sides).  ``batched_s`` and the
-    engine speedups stay keyed to the block-dispatch batch tier so the
-    report is comparable with earlier revisions.
+    Returns ``{"batched_s", "sequential_s": {engine: s}, "speedup":
+    {engine: ratio}, ...}`` where each time is the best of ``reps``
+    (cell construction excluded — it is identical on all sides).
     """
-    tier_s, signatures = _time_tiers(
+    best = _time_ladder(
         lambda: _build_cells(workload, scale, distances),
         f"{workload} distance ladder",
+        SEQUENTIAL_ENGINES,
         reps,
     )
-    batched_s = tier_s["batch"]
-
-    sequential_s: dict[str, float] = {}
-    for engine in SEQUENTIAL_ENGINES:
-        best = float("inf")
-        for _ in range(reps):
-            cells, entry = _build_cells(workload, scale, distances)
-            start = time.perf_counter()
-            results = [
-                Machine(
-                    cell.module,
-                    cell.space,
-                    config=replace(cell.config, engine=engine),
-                ).run(entry)
-                for cell in cells
-            ]
-            best = min(best, time.perf_counter() - start)
-        sequential_s[engine] = best
-        for index, result in enumerate(results):
-            if _signature(result) != signatures[index]:
-                raise AssertionError(
-                    f"{workload}: batched cell {index} (distance "
-                    f"{distances[index]}) is not bit-identical with the "
-                    f"sequential {engine} engine"
-                )
-
+    batched_s = best["batchturbo"]
     return {
         "workload": workload,
         "scale": scale,
         "distances": list(distances),
         "cells": len(distances),
         "batched_s": round(batched_s, 6),
-        "tiers": {
-            tier: round(seconds, 6) for tier, seconds in tier_s.items()
-        },
-        "batchturbo_vs_batch": round(
-            tier_s["batch"] / max(tier_s["batchturbo"], 1e-9), 3
-        ),
         "sequential_s": {
-            engine: round(seconds, 6)
-            for engine, seconds in sequential_s.items()
+            engine: round(best[engine], 6) for engine in SEQUENTIAL_ENGINES
         },
         "speedup": {
-            engine: round(seconds / max(batched_s, 1e-9), 3)
-            for engine, seconds in sequential_s.items()
+            engine: round(best[engine] / max(batched_s, 1e-9), 3)
+            for engine in SEQUENTIAL_ENGINES
         },
     }
 
@@ -214,12 +198,11 @@ def measure_grid(
     cache_scales: tuple = DEFAULT_GRID_SCALES,
     reps: int = 3,
 ) -> dict:
-    """The 32-cell distance x cache-scale grid: batch vs batchturbo.
+    """The 32-cell distance x cache-scale grid: batched vs per-cell turbo.
 
     Divergent cell configs (one cache hierarchy scaling per column)
-    exercise the batched superblock's per-cell overlays; sequential
-    comparators are omitted — cross-tier bit-identity is the oracle
-    and the 8-cell ladder already anchors the sequential baselines.
+    exercise the batched superblock's per-cell overlays; the reference
+    comparator is omitted — the 8-cell ladder already anchors it.
     """
 
     def build():
@@ -237,8 +220,8 @@ def measure_grid(
             cells.append(BatchCell(cell.module, cell.space, config))
         return cells, entry
 
-    tier_s, _ = _time_tiers(
-        build, f"{workload} distance x cache-scale grid", reps
+    best = _time_ladder(
+        build, f"{workload} distance x cache-scale grid", ("turbo",), reps
     )
     return {
         "workload": workload,
@@ -246,12 +229,11 @@ def measure_grid(
         "distances": list(distances),
         "cache_scales": list(cache_scales),
         "cells": len(distances) * len(cache_scales),
-        "tiers": {
-            tier: round(seconds, 6) for tier, seconds in tier_s.items()
+        "batched_s": round(best["batchturbo"], 6),
+        "sequential_s": {"turbo": round(best["turbo"], 6)},
+        "speedup": {
+            "turbo": round(best["turbo"] / max(best["batchturbo"], 1e-9), 3)
         },
-        "batchturbo_vs_batch": round(
-            tier_s["batch"] / max(tier_s["batchturbo"], 1e-9), 3
-        ),
     }
 
 
@@ -262,16 +244,12 @@ def test_batched_distance_sweep(benchmark):
     report = benchmark.pedantic(measure_sweep, iterations=1, rounds=1)
     print()
     print(json.dumps(report["speedup"], indent=2))
-    # The batch tier must amortize the shared front-end: well above the
-    # sequential replay it replaces, and no worse than running the
-    # compiled fast engine once per cell.
+    # The batched tier must amortize the shared front-end: well above
+    # the sequential reference replay, and no worse than running the
+    # turbo engine once per cell (CI enforces the calibrated floor via
+    # ci_perf_check.py; see docs/PERFORMANCE.md).
     assert report["speedup"]["reference"] >= 3.0, report["speedup"]
-    assert report["speedup"]["fast"] >= 1.0, report["speedup"]
-    # The fused superblock tier must beat the block-dispatch chains it
-    # replaces.  The in-bench floor is deliberately loose (CI enforces
-    # the calibrated one via ci_perf_check.py); see docs/PERFORMANCE.md
-    # for measured per-workload ratios and the Amdahl ceiling.
-    assert report["batchturbo_vs_batch"] >= 1.1, report
+    assert report["speedup"]["turbo"] >= 1.0, report["speedup"]
 
 
 # ----------------------------------------------------------------------
@@ -320,9 +298,7 @@ def main() -> int:
     print(
         f"  {report['workload']}@{report['scale']}: "
         f"{report['cells']}-cell distance sweep "
-        f"batched={report['batched_s']:.3f}s "
-        f"batchturbo={report['tiers']['batchturbo']:.3f}s "
-        f"({report['batchturbo_vs_batch']:.2f}x)"
+        f"batched={report['batched_s']:.3f}s"
     )
     for engine in SEQUENTIAL_ENGINES:
         print(
@@ -332,9 +308,9 @@ def main() -> int:
     grid = report["grid32"]
     print(
         f"  {grid['cells']}-cell grid (x{len(grid['cache_scales'])} "
-        f"cache scales): batch={grid['tiers']['batch']:.3f}s "
-        f"batchturbo={grid['tiers']['batchturbo']:.3f}s "
-        f"({grid['batchturbo_vs_batch']:.2f}x)"
+        f"cache scales): batched={grid['batched_s']:.3f}s "
+        f"per-cell turbo={grid['sequential_s']['turbo']:.3f}s "
+        f"({grid['speedup']['turbo']:.2f}x)"
     )
     return 0
 

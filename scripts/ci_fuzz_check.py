@@ -7,26 +7,27 @@ Six gates, all with fixed seeds so the job is deterministic:
    its own, so a broken lazy import cannot hide behind whichever
    engine the fuzz run happens to exercise first.
 2. **Clean fuzz** — ``--budget`` generated programs (plus an Eq-1/Eq-2
-   analytic-model sweep) must pass the full differential oracle: four
-   engines x tracing on/off x every prefetch scheme, bit-identical.
+   analytic-model sweep) must pass the full differential oracle: turbo
+   and reference x tracing on/off x every prefetch scheme,
+   bit-identical.
 3. **Corpus replay** — every case under ``tests/corpus/`` must pass
    the same oracle (they are shrunk former failures or seeded
    construct-coverage programs).
-4. **Mutation self-test** — a scratch engine copy with a seeded
-   off-by-one in its cycle accounting must be *caught* by the oracle
-   and *shrunk* to at most ``--max-mutant-blocks`` basic blocks,
-   proving the finder and the minimizer both work.
+4. **Mutation self-test** — turbo over a scratch copy of its block
+   compiler with a seeded off-by-one in its cycle accounting must be
+   *caught* by the oracle and *shrunk* to at most
+   ``--max-mutant-blocks`` basic blocks, proving the finder and the
+   minimizer both work.
 5. **Batch axis** — every corpus case plus ``--batch-budget`` generated
    programs must be bit-identical between the batched multi-config
-   runner (:func:`repro.machine.batch.run_batch`, exercised at both
-   the block-dispatch ``batch`` tier and the fused-superblock
-   ``batchturbo`` tier) and fresh sequential
-   ``Machine`` runs of the same cells, over both a uniform cache-scale
-   batch and a divergent A&J-distance batch.
+   runner (:func:`repro.machine.batch.run_batch`, the
+   ``batchturbo`` tier) and fresh sequential turbo ``Machine`` runs of
+   the same cells, over both a uniform cache-scale batch and a
+   divergent A&J-distance batch.
 6. **Code-cache axis** — every corpus case plus ``--codecache-budget``
    generated programs must be bit-identical between a fresh compile and
-   a persistent-code-cache load (every cacheable engine x scheme x
-   tracing mode; the warm cell must be a real cache hit), and the
+   a persistent-code-cache load (turbo x every scheme, untraced; the
+   warm cell must be a real cache hit), and the
    cache's validate-or-recompile guard must *detect* deliberately stale
    and booby-trapped cached modules (``check_codecache_selftest``).
 
@@ -71,7 +72,6 @@ SANITY_MODULES = (
     "repro.machine.interpreter",
     "repro.machine.machine",
     "repro.machine.superblock",
-    "repro.machine.translator",
     "repro.mem.batch",
     "repro.mem.fastpath",
     "repro.mem.hierarchy",
@@ -189,8 +189,8 @@ def check_batch_axis(budget: int, seed: int) -> bool:
         return False
     elapsed = time.perf_counter() - start
     print(
-        f"OK: {total} case(s) bit-identical between batched (both "
-        f"tiers) and sequential execution in {elapsed:.1f}s"
+        f"OK: {total} case(s) bit-identical between batched and "
+        f"sequential execution in {elapsed:.1f}s"
     )
     return True
 
@@ -288,9 +288,9 @@ def main() -> int:
     parser.add_argument("--model-cases", type=int, default=200)
     parser.add_argument("--max-mutant-blocks", type=int, default=3)
     parser.add_argument("--batch-budget", type=int, default=50)
-    # Each codecache-axis case runs the program ~36 times (scheme x
-    # engine x traced x fresh/populate/warm), so the smoke default is
-    # small; nightly passes a bigger budget alongside --stateful.
+    # Each codecache-axis case runs the program 9 times (scheme x
+    # fresh/populate/warm), so the smoke default is small; nightly
+    # passes a bigger budget alongside --stateful.
     parser.add_argument("--codecache-budget", type=int, default=5)
     parser.add_argument(
         "--stateful",

@@ -4,9 +4,8 @@ Every entry point takes a frozen, keyword-only *request* dataclass and
 returns a frozen *result* dataclass whose payload is plain JSON-able
 data (``to_payload``/``from_payload`` round-trip losslessly through
 ``json``).  Argument order is uniformly ``(workload, scale)``, and every
-request carries an explicit ``engine=`` knob (``turbo`` | ``fast`` |
-``translate`` | ``reference``; ``None`` means the service's configured
-default).
+request carries an explicit ``engine=`` knob (``turbo`` |
+``reference``; ``None`` means the service's configured default).
 
 Three equivalent call shapes::
 
@@ -32,7 +31,6 @@ Compatibility: this module is the v1 contract.  Additions are allowed;
 renames/removals require a v2.  The pre-v1 ``name=`` keyword shims have
 been retired: passing ``name=`` to a ``TuningService`` method now raises
 ``ValueError`` with a migration hint (pass ``workload=`` instead).
-Engine aliases (``Machine(engine="interpret")``) still normalize.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 from repro.core.aptget import AptGet, AptGetConfig
 from repro.core.hints import HintSet
-from repro.machine.config import ENGINE_ALIASES, ENGINES, MachineConfig
+from repro.machine.config import ENGINES, EngineEnvError, MachineConfig
 from repro.machine.machine import Machine
 from repro.passes.ainsworth_jones import AinsworthJonesConfig, AinsworthJonesPass
 from repro.passes.aptget_pass import AptGetPass
@@ -173,14 +173,7 @@ def _format_sweep_table(result) -> str:
         cycles = entry["run"]["counters"].get("cycles", 0.0)
         base = baselines.get(entry["cache_scale"])
         ratio = f"{base / cycles:>8.3f}" if base and cycles else f"{'-':>8}"
-        if entry["cached"]:
-            source = "cache"
-        elif entry["batched"]:
-            # The executed batch tier: "batchturbo" for fused
-            # superblock batches, "batch" for per-block chains.
-            source = entry.get("tier") or "batch"
-        else:
-            source = "replay"
+        source = "cache" if entry["cached"] else entry["tier"]
         distance = entry["distance"] if entry["distance"] is not None else "-"
         scale = f"1/{entry['cache_scale']}"
         lines.append(
@@ -189,7 +182,7 @@ def _format_sweep_table(result) -> str:
         )
     execution = result.execution
     groups = ", ".join(
-        f"{g['scheme']}:{g.get('tier') or 'batch' if g['batched'] else 'replay'}"
+        f"{g['scheme']}:{g['tier']}"
         + (
             f" ({g.get('reason_code') or ''}{': ' if g.get('reason_code') else ''}"
             f"{g['reason']})"
@@ -801,9 +794,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--engine",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
+        choices=ENGINES,
         default=None,
-        help="execution engine (default: REPRO_ENGINE env var, else fast)",
+        help="execution engine (default: REPRO_ENGINE env var, else turbo)",
     )
 
 
@@ -920,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale", choices=_SCALES, default="small")
     p.add_argument(
         "--engine",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
+        choices=ENGINES,
         default=None,
         help="execution engine for uncached measurements",
     )
@@ -1030,7 +1023,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
+        choices=ENGINES,
         default=None,
         help="execution engine for agent measurements",
     )
@@ -1067,7 +1060,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--engine",
-        choices=ENGINES + tuple(ENGINE_ALIASES),
+        choices=ENGINES,
         default=None,
         help="execution engine for measurements",
     )
@@ -1119,7 +1112,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except EngineEnvError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

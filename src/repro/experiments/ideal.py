@@ -25,20 +25,18 @@ from repro.machine.config import MachineConfig, paper_like_memory
 from repro.machine.machine import Machine
 from repro.workloads.registry import make_workload
 
-IDEAL_CONFIG = MachineConfig(
-    memory=dataclasses.replace(paper_like_memory(), ideal_prefetching=True)
-)
-
-
 def run(scale: str = "small") -> ExperimentResult:
     names = scale_suite(scale)
+    ideal_config = MachineConfig(
+        memory=dataclasses.replace(paper_like_memory(), ideal_prefetching=True)
+    )
     rows = []
     fractions_aj = []
     fractions_apt = []
     for name in names:
         baseline = cached_baseline(name, scale)
         module, space = make_workload(name, scale).build()
-        ideal = Machine(module, space, config=IDEAL_CONFIG).run("main")
+        ideal = Machine(module, space, config=ideal_config).run("main")
         ideal_speedup = baseline.cycles / ideal.counters.cycles
 
         aj = run_ainsworth_jones(make_workload(name, scale))

@@ -68,7 +68,7 @@ class Opcode(enum.IntEnum):
 TERMINATORS = frozenset({Opcode.JMP, Opcode.BR, Opcode.RET})
 
 #: Binary arithmetic opcodes mapped to a Python expression template used by
-#: the translating engine and the interpreter's dispatch tables.
+#: the generated superblock code and the interpreter's dispatch tables.
 BINOP_EXPR = {
     Opcode.ADD: "({a}) + ({b})",
     Opcode.SUB: "({a}) - ({b})",

@@ -9,8 +9,6 @@ from repro.machine.batch import (
 )
 from repro.machine.blockengine import BlockCompiledFunction, compile_blocks
 from repro.machine.config import (
-    DEFAULT_CONFIG,
-    ENGINE_ALIASES,
     ENGINES,
     MachineConfig,
     normalize_engine,
@@ -23,7 +21,6 @@ from repro.machine.machine import Machine, RunResult
 from repro.machine.pmu import Counters, PerfStat
 from repro.machine.sampler import ProfileSampler
 from repro.machine.superblock import TurboCompiledFunction, compile_turbo
-from repro.machine.translator import CompiledFunction, compile_function
 
 __all__ = [
     "BatchCell",
@@ -31,10 +28,7 @@ __all__ = [
     "BatchMachine",
     "BatchOutcome",
     "BlockCompiledFunction",
-    "CompiledFunction",
     "Counters",
-    "DEFAULT_CONFIG",
-    "ENGINE_ALIASES",
     "ENGINES",
     "ExecutionContext",
     "ExecutionLimitExceeded",
@@ -48,7 +42,6 @@ __all__ = [
     "RunResult",
     "TurboCompiledFunction",
     "compile_blocks",
-    "compile_function",
     "compile_turbo",
     "normalize_engine",
     "paper_like_memory",

@@ -1,4 +1,4 @@
-"""Fast execution engine: per-block chains of pre-resolved op closures.
+"""Turbo's per-block substrate: chains of pre-resolved op closures.
 
 The reference interpreter pays, for every executed instruction, an
 opcode if-chain plus one ``resolve()`` call per operand (a function
@@ -11,21 +11,20 @@ It is the same profile-guided idea the paper applies to hot loads
 (specialize the common case, keep the general path for the rest)
 applied to our own hot loop.
 
-Relationship to the other engines:
+Relationship to the engines:
 
 * ``reference`` (``repro.machine.interpreter``) is the obviously-correct
-  baseline.  This engine must match it bit-for-bit on cycles, PMU
+  baseline.  These chains must match it bit-for-bit on cycles, PMU
   counters, LBR contents and PEBS sample sets — asserted across the
   whole workload registry by the differential tests.
-* ``translate`` (``repro.machine.translator``) generates Python source
-  and ``exec``\\ s one function object per IR function.  The block
-  engine reaches similar inner-loop speed without any per-function
-  ``exec``/parse (its per-function compile is just closure allocation),
+* ``turbo`` (``repro.machine.superblock``) runs every block it does not
+  fuse into a superblock through these chains, and every block of a
+  traced run.  Compiling them is just closure allocation (no ``exec``),
   so cold-start cost stays negligible for modules with many functions.
 
-Cost folding follows the translator exactly: runs of constant-cost ALU
-instructions accumulate a pending cycle count that is materialized at
-the next *observer* (memory op, CALL, dynamic WORK, or terminator), and
+Cost folding: runs of constant-cost ALU instructions accumulate a
+pending cycle count that is materialized at the next *observer*
+(memory op, CALL, dynamic WORK, or terminator), and
 per-block retired/load/store counts are folded into the terminator.
 Nothing observes ``cycle`` or the counters between those points, so the
 folded schedule is bit-identical to the interpreter's per-instruction
@@ -462,7 +461,7 @@ class _BlockCompiler:
         self.config = config
         # Register file layout: parameters take slots 0..n-1 (so the
         # runner can fill them positionally), then every dst in program
-        # order — identical to the translator's R-numbering.
+        # order.
         self.slots: dict[str, int] = {}
         for param in function.params:
             self.slots[param] = len(self.slots)

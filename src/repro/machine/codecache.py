@@ -1,12 +1,11 @@
-"""Persistent ahead-of-time code cache for the compiled engines.
+"""Persistent ahead-of-time code cache for turbo's generated code.
 
-Fast/turbo compilation is redone in every process: the turbo tier
-regenerates and ``compile()``s its superblock steppers, the translating
-engine its whole-function module, on every worker spawn —
+Turbo compilation is redone in every process: the engine regenerates
+and ``compile()``s its superblock steppers on every worker spawn —
 BENCH_engines.json puts the cold build at 0.1–0.4 s per workload.  This
-module makes the *pure-codegen* engines (turbo superblocks, the
-translating engine; the fast engine builds closures, not source, so it
-has nothing to serialize) first-class content-addressed artifacts:
+module makes those generated steppers (and the batched tier's) first-
+class content-addressed artifacts (the per-block closure chains are
+closures, not source, and are rebuilt on load):
 
 * **What is stored.**  Per compiled function, the generated sources
   plus their compiled code objects as base64 ``marshal`` blobs — the
@@ -60,24 +59,20 @@ from typing import Optional
 from repro.ir.printer import format_function
 from repro.machine.blockengine import compile_blocks
 from repro.machine.config import MachineConfig
-from repro.machine.interpreter import ExecutionLimitExceeded
-from repro.machine.sampler import NEVER
 from repro.machine.superblock import (
     Superblock,
     TurboCompiledFunction,
     compile_turbo,
 )
-from repro.machine.translator import CompiledFunction, compile_function
 from repro.obs import telemetry as obs_telemetry
 
 #: Bump when the cached payload layout changes; old entries then
 #: invalidate (and are rewritten) instead of being misinterpreted.
 CODECACHE_SCHEMA = 1
 
-#: Engines whose compiled form is pure codegen and therefore cacheable.
-#: ``fast`` builds closure chains (nothing to serialize); ``reference``
-#: interprets.
-CACHEABLE_ENGINES = ("turbo", "translate")
+#: Engines whose compiled form has generated code worth caching
+#: (``reference`` interprets).
+CACHEABLE_ENGINES = ("turbo",)
 
 #: ``code_cache`` / ``REPRO_CODE_CACHE`` spellings that mean "off".
 DISABLED_VALUES = frozenset({"", "0", "off", "none", "disabled"})
@@ -123,7 +118,7 @@ def _exec_blob(blob, namespace: dict, entry: str):
 
 
 # ----------------------------------------------------------------------
-# Per-engine pack/load
+# Pack/load
 # ----------------------------------------------------------------------
 def _pack_turbo(compiled: TurboCompiledFunction) -> dict:
     superblocks = []
@@ -340,29 +335,6 @@ def _load_batch(payload: dict, plan, plans, config, ncells: int):
     )
 
 
-def _pack_translate(compiled: CompiledFunction) -> dict:
-    return {
-        "source": compiled.source,
-        "code": _encode_code(
-            compiled.source, f"<translated:{compiled.function.name}:cached>"
-        ),
-    }
-
-
-def _load_translate(
-    payload: dict, function, config: MachineConfig
-) -> CompiledFunction:
-    source = payload.get("source")
-    if not isinstance(source, str):
-        raise CodeCacheInvalid("translated source missing")
-    namespace = {
-        "NEVER": NEVER,
-        "ExecutionLimitExceeded": ExecutionLimitExceeded,
-    }
-    fn = _exec_blob(payload.get("code"), namespace, "__translated")
-    return CompiledFunction(function, source, fn)
-
-
 # ----------------------------------------------------------------------
 # The cache proper
 # ----------------------------------------------------------------------
@@ -415,7 +387,7 @@ class CodeCache:
         }
 
     # ------------------------------------------------------------------
-    def key(self, function, config: MachineConfig, engine: str):
+    def key(self, function, config: MachineConfig):
         from repro.service.store import CacheKey, config_fingerprint
 
         return CacheKey.make(
@@ -423,7 +395,7 @@ class CodeCache:
             function.name,
             "-",  # codegen does not depend on workload scale
             config_fingerprint(config),
-            engine=engine,
+            engine="turbo",
             mem=config_fingerprint(config.memory),
             ir=ir_fingerprint(function),
             cache_tag=sys.implementation.cache_tag,
@@ -431,23 +403,17 @@ class CodeCache:
         )
 
     # ------------------------------------------------------------------
-    def load_or_compile(self, function, config: MachineConfig, engine: str):
-        """The Machine-facing entry point: cached load when possible,
-        fresh compile (recorded, re-put) otherwise."""
-        if engine == "turbo":
-            build, pack, load = compile_turbo, _pack_turbo, _load_turbo
-        elif engine == "translate":
-            build, pack, load = compile_function, _pack_translate, _load_translate
-        else:  # fast/reference: nothing serializable; compile in place.
-            return compile_blocks(function, config)
-
-        key = self.key(function, config, engine)
+    def load_or_compile(self, function, config: MachineConfig):
+        """The Machine-facing entry point: cached load of turbo's
+        compiled form when possible, fresh compile (recorded, re-put)
+        otherwise."""
+        key = self.key(function, config)
         fingerprint = dict(key.params)["ir"]
         payload = self.store.get(key)
         if payload is not None:
             try:
                 compiled = self._validate_and_load(
-                    payload, function, config, engine, fingerprint, load
+                    payload, function, config, fingerprint
                 )
             except Exception:
                 # Any failure shape — stale module, torn blob, drifted
@@ -460,14 +426,14 @@ class CodeCache:
             self._count("misses")
 
         with obs_telemetry.phase(
-            "engine.codegen", workload=function.name, engine=engine
+            "engine.codegen", workload=function.name, engine="turbo"
         ):
-            compiled = build(function, config)
+            compiled = compile_turbo(function, config)
         try:
-            body = pack(compiled)
+            body = _pack_turbo(compiled)
             body.update(
                 schema=CODECACHE_SCHEMA,
-                engine=engine,
+                engine="turbo",
                 function=function.name,
                 ir=fingerprint,
                 cache_tag=sys.implementation.cache_tag,
@@ -478,15 +444,13 @@ class CodeCache:
             self._count("put_errors")
         return compiled
 
-    def _validate_and_load(
-        self, payload, function, config, engine, fingerprint, load
-    ):
+    def _validate_and_load(self, payload, function, config, fingerprint):
         with obs_telemetry.phase(
-            "engine.load", workload=function.name, engine=engine
+            "engine.load", workload=function.name, engine="turbo"
         ):
             if payload.get("schema") != CODECACHE_SCHEMA:
                 raise CodeCacheInvalid("codecache schema mismatch")
-            if payload.get("engine") != engine:
+            if payload.get("engine") != "turbo":
                 raise CodeCacheInvalid("engine mismatch")
             if payload.get("function") != function.name:
                 raise CodeCacheInvalid("function name mismatch")
@@ -497,14 +461,14 @@ class CodeCache:
             # must be rejected before any of its code runs.
             if payload.get("ir") != fingerprint:
                 raise CodeCacheInvalid("stale IR fingerprint")
-            return load(payload, function, config)
+            return _load_turbo(payload, function, config)
 
 
 # ----------------------------------------------------------------------
 # The batched superblock tier's entry point
 # ----------------------------------------------------------------------
 def batch_key(cache: CodeCache, plan, config, vector_digest: str,
-              ncells: int, lane: bool):
+              ncells: int):
     from repro.service.store import CacheKey, config_fingerprint
 
     function = plan.functions[0]
@@ -518,7 +482,6 @@ def batch_key(cache: CodeCache, plan, config, vector_digest: str,
         ir=ir_fingerprint(function),
         cells=vector_digest,
         ncells=ncells,
-        lane=lane,
         cache_tag=sys.implementation.cache_tag,
         codecache_schema=CODECACHE_SCHEMA,
     )
@@ -530,7 +493,6 @@ def load_or_compile_batch(
     plans,
     config: MachineConfig,
     cell_configs,
-    vector: bool,
 ):
     """The BatchMachine-facing entry point for the batchturbo tier:
     cached load when possible, fresh compile (recorded, re-put)
@@ -543,14 +505,10 @@ def load_or_compile_batch(
     from repro.machine.batchturbo import compile_batch_turbo
 
     if cache is None:
-        return compile_batch_turbo(
-            plan, plans, config, cell_configs, vector
-        )
+        return compile_batch_turbo(plan, plans, config, cell_configs)
 
     ordered = _cell_vector(plan, cell_configs)
-    key = batch_key(
-        cache, plan, config, _cells_digest(ordered), len(ordered), vector
-    )
+    key = batch_key(cache, plan, config, _cells_digest(ordered), len(ordered))
     payload = cache.store.get(key)
     if payload is not None:
         try:
@@ -588,9 +546,7 @@ def load_or_compile_batch(
     with obs_telemetry.phase(
         "engine.codegen", workload=plan.name, engine="batchturbo"
     ):
-        compiled = compile_batch_turbo(
-            plan, plans, config, cell_configs, vector
-        )
+        compiled = compile_batch_turbo(plan, plans, config, cell_configs)
     try:
         body = _pack_batch(compiled)
         body.update(

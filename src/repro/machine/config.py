@@ -1,7 +1,7 @@
 """Machine configuration: core cost model + memory hierarchy + profiling.
 
 All costs are integer cycles so both execution engines (reference
-interpreter and translating engine) produce bit-identical timing.
+interpreter and turbo) produce bit-identical timing.
 
 The core is a blocking in-order pipeline: ALU work costs
 ``alu_cost``/instruction, demand loads pay the full latency of the level
@@ -22,30 +22,34 @@ from repro.mem.config import CacheConfig, MemoryConfig
 
 #: Canonical engine names, fastest first.
 #:
-#: * ``turbo`` — fast engine plus fused hot-loop superblocks with
-#:   steady-state bulk stepping (repro.machine.superblock).
-#: * ``fast`` — closure-chain block engine (repro.machine.blockengine).
-#: * ``translate`` — source-codegen engine (repro.machine.translator).
-#: * ``reference`` — the obviously-correct interpreter the others are
+#: * ``turbo`` — per-block closure chains (repro.machine.blockengine)
+#:   plus fused hot-loop superblocks with steady-state bulk stepping
+#:   (repro.machine.superblock).
+#: * ``reference`` — the obviously-correct interpreter turbo is
 #:   differentially tested against (repro.machine.interpreter).
-ENGINES = ("turbo", "fast", "translate", "reference")
-
-#: Legacy spellings still accepted (Machine warns on explicit use).
-ENGINE_ALIASES = {"interpret": "reference"}
+ENGINES = ("turbo", "reference")
 
 
 def normalize_engine(engine: str) -> str:
-    """Map aliases to canonical names; reject unknown engines."""
-    canonical = ENGINE_ALIASES.get(engine, engine)
-    if canonical not in ENGINES:
-        known = ENGINES + tuple(ENGINE_ALIASES)
-        raise ValueError(f"engine must be one of {known}, got {engine!r}")
-    return canonical
+    """Reject unknown engines; return the name unchanged."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    return engine
+
+
+class EngineEnvError(ValueError):
+    """``REPRO_ENGINE`` names no engine (raised when a config needs the
+    session default, never at import)."""
 
 
 def _default_engine() -> str:
-    """Session default: the REPRO_ENGINE env var, else ``fast``."""
-    return normalize_engine(os.environ.get("REPRO_ENGINE", "fast"))
+    """Session default: the REPRO_ENGINE env var, else ``turbo``."""
+    engine = os.environ.get("REPRO_ENGINE", "turbo")
+    if engine not in ENGINES:
+        raise EngineEnvError(
+            f"REPRO_ENGINE={engine!r}: engine must be one of {ENGINES}"
+        )
+    return engine
 
 
 def _default_code_cache() -> Optional[str]:
@@ -76,15 +80,14 @@ class MachineConfig:
 
     memory: MemoryConfig = field(default_factory=paper_like_memory)
 
-    #: Which execution engine Machine uses by default.  All engines are
-    #: bit-identical in timing and counters; this knob only trades
-    #: startup cost vs steady-state speed (and selects the reference
-    #: interpreter for differential testing).  Defaults to the
-    #: ``REPRO_ENGINE`` environment variable, else ``fast``.
+    #: Which execution engine Machine uses by default.  Both engines are
+    #: bit-identical in timing and counters; ``reference`` exists for
+    #: differential testing.  Defaults to the ``REPRO_ENGINE``
+    #: environment variable, else ``turbo``.
     engine: str = field(default_factory=_default_engine)
 
-    #: Persistent AOT code cache directory for the pure-codegen engines
-    #: (turbo superblocks, the translating engine) — see
+    #: Persistent AOT code cache directory for turbo's generated
+    #: superblocks — see
     #: :mod:`repro.machine.codecache`.  None disables; so do the
     #: spellings in ``codecache.DISABLED_VALUES`` ("off", "0", "none"),
     #: which is how a caller overrides a service's auto-enable.
@@ -126,5 +129,3 @@ class MachineConfig:
     def with_memory(self, memory: MemoryConfig) -> "MachineConfig":
         return replace(self, memory=memory)
 
-
-DEFAULT_CONFIG = MachineConfig()

@@ -1,8 +1,8 @@
 """Reference interpreter: simple, direct, obviously-correct execution.
 
-Used for differential testing against the translating engine and for
-debugging; the translator must produce *identical* timing and counters
-(all costs are integers, accumulated in program order by both engines).
+Used for differential testing against the turbo engine and for
+debugging; turbo must produce *identical* timing and counters (all
+costs are integers, accumulated in program order by both engines).
 """
 
 from __future__ import annotations

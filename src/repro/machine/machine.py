@@ -18,26 +18,19 @@ For profiling runs (the paper's ``perf record`` step)::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.ir.nodes import IRError, Module
 from repro.machine import codecache
 from repro.machine.blockengine import compile_blocks
-from repro.machine.config import (
-    ENGINE_ALIASES,
-    ENGINES,
-    MachineConfig,
-    normalize_engine,
-)
+from repro.machine.config import MachineConfig, normalize_engine
 from repro.machine.context import ExecutionContext
 from repro.machine.interpreter import run_function
 from repro.machine.lbr import LastBranchRecord, NullLBR
 from repro.machine.pmu import Counters, PerfStat
 from repro.machine.sampler import ProfileSampler
-from repro.machine.superblock import compile_turbo
-from repro.machine.translator import compile_function
+from repro.machine.superblock import TurboCompiledFunction, compile_turbo
 from repro.mem.address import AddressSpace
 from repro.mem.hierarchy import MemorySystem
 
@@ -75,28 +68,19 @@ class Machine:
         self.config = config or MachineConfig()
         if engine is None:
             engine = self.config.engine
-        elif engine in ENGINE_ALIASES:
-            warnings.warn(
-                f"engine {engine!r} is a deprecated alias; "
-                f"use {ENGINE_ALIASES[engine]!r}",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.engine = normalize_engine(engine)
         self.counters = Counters()
         self.mem = MemorySystem(self.config.memory, space, self.counters)
         self.lbr: LastBranchRecord | NullLBR = NullLBR()
         self.sampler: Optional[ProfileSampler] = None
         self.trace = None
-        #: Compiled-form cache, keyed by (engine, function name) so one
-        #: machine can serve several engines (e.g. translated_source()
-        #: on a machine running the fast engine).
-        self._compiled: dict[tuple[str, str], object] = {}
+        #: Compiled-form cache, keyed by function name.
+        self._compiled: dict[str, object] = {}
         #: Wall seconds spent compiling (the compile half of the
         #: compile-vs-execute split telemetry reports per engine.run).
         self._compile_seconds = 0.0
         #: Persistent AOT code cache (None unless config.code_cache is
-        #: set); load-or-compile for the pure-codegen engines.
+        #: set); load-or-compile for turbo's superblocks.
         self._code_cache = codecache.resolve(self.config.code_cache)
 
     # ------------------------------------------------------------------
@@ -174,28 +158,30 @@ class Machine:
             trace=self.trace,
         )
 
-    def _compile(self, name: str, engine: Optional[str] = None):
-        """Fetch (or build) the compiled form of ``name`` for ``engine``."""
-        engine = engine or self.engine
-        key = (engine, name)
-        compiled = self._compiled.get(key)
-        if compiled is None:
+    def _compile(self, name: str):
+        """Fetch (or build) turbo's compiled form of ``name``.
+
+        Traced runs never enter a superblock stepper, so a function
+        first compiled while tracing is armed gets its block chains
+        only; the first compile after ``disable_tracing()`` fuses it.
+        """
+        compiled = self._compiled.get(name)
+        traced = self.trace is not None
+        stale = not (traced or getattr(compiled, "fused", True))
+        if compiled is None or stale:
             started = time.perf_counter()
             function = self.module.function(name)
-            cache = (
-                self._code_cache
-                if engine in codecache.CACHEABLE_ENGINES
-                else None
-            )
-            if cache is not None:
-                compiled = cache.load_or_compile(function, self.config, engine)
-            elif engine == "turbo":
-                compiled = compile_turbo(function, self.config)
-            elif engine == "fast":
-                compiled = compile_blocks(function, self.config)
+            if traced:
+                compiled = TurboCompiledFunction(
+                    compile_blocks(function, self.config), None
+                )
+            elif self._code_cache is not None:
+                compiled = self._code_cache.load_or_compile(
+                    function, self.config
+                )
             else:
-                compiled = compile_function(function, self.config)
-            self._compiled[key] = compiled
+                compiled = compile_turbo(function, self.config)
+            self._compiled[name] = compiled
             self._compile_seconds += time.perf_counter() - started
         return compiled
 
@@ -231,11 +217,6 @@ class Machine:
         else:
             value = self._compile(function)(self._context(), args)
         return RunResult(value=value, counters=self.counters - before)
-
-    def translated_source(self, function: str) -> str:
-        """Source of the translating engine's code for ``function``
-        (debug aid; compiles on demand whatever engine is active)."""
-        return self._compile(function, engine="translate").source
 
     def engine_run_stats(self) -> dict:
         """Engine-phase profiling rollup for this machine's lifetime:

@@ -1,7 +1,7 @@
 """Turbo engine tier: fused hot-loop superblocks + steady-state bulk
 stepping on top of the block engine.
 
-The ``fast`` engine (repro.machine.blockengine) still pays, per loop
+The per-block closure chains (repro.machine.blockengine) pay, per loop
 iteration, one closure call per op plus a dispatch-loop round trip per
 basic block.  For the loop-dominated workloads the paper targets that
 dispatch overhead *is* the simulator's hot path.  This tier removes it
@@ -56,7 +56,9 @@ bulk stepping at the inner loop.  While lifecycle tracing is armed the
 stepper is bypassed entirely (``ctx.mem.trace is not None``): traced
 runs take exactly the per-block code paths the observability
 guarantees were established on, mirroring the memory fast path's
-bypass rule.
+bypass rule.  For the same reason the Machine compiles a function
+without superblocks while tracing is armed, and fuses it on its first
+untraced compile.
 
 Side exits write the locals back to the register file, apply the
 partial (path-prefix) counter constants for the interrupted iteration,
@@ -906,18 +908,19 @@ def _build_superblock(
 
 
 class TurboCompiledFunction(BlockCompiledFunction):
-    """The fast engine's per-block chains plus superblock steppers.
+    """Per-block chains plus superblock steppers.
 
-    Blocks that are not fused headers dispatch exactly as the fast
-    engine does; a fused header hands control to the generated stepper,
+    Blocks that are not fused headers dispatch through their closure
+    chains; a fused header hands control to the generated stepper,
     which runs iterations in bulk until an observation-point guard
     trips — or declines outright (``-1``: sample imminent) so the
     per-block path can honour the observation at the exact reference
     boundary.  Tracing armed disables bulk stepping for the run.
+    ``superblocks=None`` builds the unfused form (``fused`` False).
     """
 
     def __init__(
-        self, base: BlockCompiledFunction, superblocks: tuple
+        self, base: BlockCompiledFunction, superblocks: Optional[tuple]
     ) -> None:
         super().__init__(
             base.function,
@@ -929,7 +932,9 @@ class TurboCompiledFunction(BlockCompiledFunction):
             block_index=base.block_index,
             block_start_pc=base.block_start_pc,
         )
-        self._superblocks = superblocks  # per-block-index, None when unfused
+        self.fused = superblocks is not None
+        # Per-block-index, None when unfused.
+        self._superblocks = superblocks or (None,) * len(base._blocks)
         # Cumulative run-profiling tallies (telemetry's engine.run span
         # reads these; they live on the compiled function, never in the
         # PMU counters, so traced==untraced bit-identity is untouched).
@@ -957,6 +962,11 @@ class TurboCompiledFunction(BlockCompiledFunction):
         return stats
 
     def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
+        if ctx.mem.trace is not None or not self.fused:
+            # Trace armed -> observation points are everywhere; bulk
+            # stepping is disabled for the whole run (same bypass rule
+            # as the memory fast path): the per-block path runs as is.
+            return super().__call__(ctx, args)
         function = self.function
         if len(args) != len(function.params):
             raise IRError(
@@ -1003,19 +1013,16 @@ class TurboCompiledFunction(BlockCompiledFunction):
             R[slot] = int(value)
 
         blocks = self._blocks
-        # Trace armed -> observation points are everywhere; bulk
-        # stepping is disabled for the whole run (same bypass rule as
-        # the memory fast path).  The list is a per-run copy: a fused
-        # loop whose *dynamic* trip counts turn out tiny (a hash-probe
-        # chain averaging 1-2 iterations) pays more in per-bulk-call
-        # prologue than fusion saves, so after a warmup its slot is
-        # cleared and dispatch falls back to the per-block path —
-        # bit-identical either way, purely a time/space trade.
-        superblocks = list(self._superblocks) if mem.trace is None else None
-        front = mem.front() if superblocks is not None else None
-        if superblocks is not None:
-            sb_calls = [0] * len(superblocks)
-            sb_iters = [0] * len(superblocks)
+        # The list is a per-run copy: a fused loop whose *dynamic* trip
+        # counts turn out tiny (a hash-probe chain averaging 1-2
+        # iterations) pays more in per-bulk-call prologue than fusion
+        # saves, so after a warmup its slot is cleared and dispatch
+        # falls back to the per-block path — bit-identical either way,
+        # purely a time/space trade.
+        superblocks = list(self._superblocks)
+        front = mem.front()
+        sb_calls = [0] * len(superblocks)
+        sb_iters = [0] * len(superblocks)
         profiled = sampler is not None
         declined = 0
         bi = self._entry
@@ -1027,25 +1034,24 @@ class TurboCompiledFunction(BlockCompiledFunction):
                     raise ExecutionLimitExceeded(
                         f"{function.name}: exceeded {max_instructions} instructions"
                     )
-                if superblocks is not None:
-                    sb = superblocks[bi]
-                    if sb is not None:
-                        run = sb.run_profiled if profiled else sb.run_plain
-                        before = st.retired
-                        nxt = run(R, st, front)
-                        if nxt >= 0:
-                            calls = sb_calls[bi] + 1
-                            sb_calls[bi] = calls
-                            sb_iters[bi] += (
-                                st.retired - before
-                            ) // sb.bound_retired
-                            if calls == _ADAPT_WARMUP and (
-                                sb_iters[bi] < calls * _ADAPT_MIN_ITERS
-                            ):
-                                superblocks[bi] = None
-                            bi = nxt
-                            continue
-                        declined += 1
+                sb = superblocks[bi]
+                if sb is not None:
+                    run = sb.run_profiled if profiled else sb.run_plain
+                    before = st.retired
+                    nxt = run(R, st, front)
+                    if nxt >= 0:
+                        calls = sb_calls[bi] + 1
+                        sb_calls[bi] = calls
+                        sb_iters[bi] += (
+                            st.retired - before
+                        ) // sb.bound_retired
+                        if calls == _ADAPT_WARMUP and (
+                            sb_iters[bi] < calls * _ADAPT_MIN_ITERS
+                        ):
+                            superblocks[bi] = None
+                        bi = nxt
+                        continue
+                    declined += 1
                 st.next = _FELL_THROUGH
                 for op in blocks[bi]:
                     op(R, st)
@@ -1059,33 +1065,35 @@ class TurboCompiledFunction(BlockCompiledFunction):
                     )
                 bi = nxt
         finally:
-            if superblocks is not None:
-                self.bulk_calls += sum(sb_calls)
-                self.bulk_iters += sum(sb_iters)
-                self.guard_declines += declined
-                self.adaptive_cleared += sum(
-                    1
-                    for original, current in zip(
-                        self._superblocks, superblocks
-                    )
-                    if original is not None and current is None
-                )
+            self.bulk_calls += sum(sb_calls)
+            self.bulk_iters += sum(sb_iters)
+            self.guard_declines += declined
+            self.adaptive_cleared += sum(
+                1
+                for original, current in zip(self._superblocks, superblocks)
+                if original is not None and current is None
+            )
 
 
-def compile_turbo(
-    function: Function, config: Optional[MachineConfig] = None
+def fuse(
+    function: Function, config: MachineConfig, base: BlockCompiledFunction
 ) -> TurboCompiledFunction:
-    """Compile one finalized IR function for the turbo tier: the fast
-    engine's block chains plus a fused superblock per linear loop,
+    """``base``'s block chains plus a fused superblock per linear loop,
     built innermost-first so outer loops absorb fused inner loops into
     one nest.  Inner loops keep their standalone superblocks registered
     at their own headers — that is where a run resumed after a
     mid-nest sample re-enters bulk stepping."""
-    config = config or MachineConfig()
-    base = compile_blocks(function, config)
     superblocks: list = [None] * len(base._blocks)
     for unit in discover_units(function).values():
         superblocks[base.block_index[unit.header]] = _build_superblock(
             function, config, base, unit
         )
     return TurboCompiledFunction(base, tuple(superblocks))
+
+
+def compile_turbo(
+    function: Function, config: Optional[MachineConfig] = None
+) -> TurboCompiledFunction:
+    """Compile one finalized IR function for the turbo engine."""
+    config = config or MachineConfig()
+    return fuse(function, config, compile_blocks(function, config))

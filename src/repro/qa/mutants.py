@@ -9,11 +9,10 @@ the real engine module is never touched, so mutants are safe to build
 inside a running test session.
 
 The mutant plugs into the oracle as an extra engine via the ``runners``
-parameter: the returned factory builds a normal fast-engine
-:class:`Machine` whose compiled-form cache is pre-populated from the
-mutated block compiler, so every other layer (memory, PMU, tracing,
-sampling) is the production code — exactly the situation a real engine
-regression would create.
+parameter: the returned factory builds a normal turbo :class:`Machine`
+whose compiled-form cache is pre-populated from the mutated compiler,
+so every other layer (memory, PMU, tracing, sampling) is the production
+code — exactly the situation a real engine regression would create.
 """
 
 from __future__ import annotations
@@ -59,16 +58,22 @@ def offbyone_blockengine() -> types.ModuleType:
 
 def offbyone_runner(config: OracleConfig):
     """Machine factory for the off-by-one mutant (pass to the oracle as
-    ``runners={MUTANT_ENGINE: offbyone_runner(config)}``)."""
+    ``runners={MUTANT_ENGINE: offbyone_runner(config)}``).
+
+    The mutated block chains are reached through turbo exactly as in
+    production: every block a superblock does not fuse (a RET never
+    is), and every block of a traced run."""
     mutant = offbyone_blockengine()
 
     def make(module, space) -> Machine:
         machine = Machine(
-            module, space, config=config.machine_config(), engine="fast"
+            module, space, config=config.machine_config(), engine="turbo"
         )
         for name, function in module.functions.items():
-            machine._compiled[("fast", name)] = mutant.compile_blocks(
-                function, machine.config
+            machine._compiled[name] = superblock.fuse(
+                function,
+                machine.config,
+                mutant.compile_blocks(function, machine.config),
             )
         return machine
 
@@ -115,7 +120,7 @@ def turbo_offbyone_runner(config: OracleConfig):
             module, space, config=config.machine_config(), engine="turbo"
         )
         for name, function in module.functions.items():
-            machine._compiled[("turbo", name)] = mutant.compile_turbo(
+            machine._compiled[name] = mutant.compile_turbo(
                 function, machine.config
             )
         return machine
@@ -142,8 +147,9 @@ def turbo_mutant_oracle_setup(base: OracleConfig = None):
 
 def mutant_oracle_setup(base: OracleConfig = None):
     """The (config, runners) pair for a mutant differential run: the
-    reference interpreter vs the broken fast-engine copy, untraced
-    'none' scheme only — the minimal matrix that still catches the bug."""
+    reference interpreter vs turbo over the broken block compiler,
+    untraced 'none' scheme only — the minimal matrix that still catches
+    the bug."""
     base = base or OracleConfig()
     from dataclasses import replace
 

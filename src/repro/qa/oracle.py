@@ -6,9 +6,10 @@ One spec is checked as ``schemes x engines x tracing``:
   Ainsworth & Jones pass (``aj``), and the full profile-guided APT-GET
   pipeline (``apt-get``: profile on the reference engine, Eq-1/Eq-2
   analysis, injection pass, strict re-verification);
-* **engines** — every canonical engine (turbo / fast / translate /
-  reference) plus any caller-supplied scratch runners (see
-  :mod:`repro.qa.mutants`);
+* **engines** — both canonical engines (turbo / reference) plus any
+  caller-supplied scratch runners (see :mod:`repro.qa.mutants`).
+  Traced turbo cells run turbo's per-block chains (a traced compile
+  builds no superblocks); untraced cells add the fused steppers;
 * **tracing** — lifecycle tracing off and on.
 
 Every observation must be **bit-identical** across engines (return
@@ -460,11 +461,10 @@ def check_batch(
     Runs the spec through :func:`repro.machine.batch.run_batch` on two
     cell shapes — a *uniform* batch (identical modules, cache
     capacities scaled per cell) and a *divergent-immediate* batch (A&J
-    injection at a different distance per cell) — once per batch
-    execution tier (block-dispatch ``batch`` and fused-superblock
-    ``batchturbo``), and demands every cell be bit-identical (return
-    value + full PMU counter vector) to a fresh sequential
-    :class:`Machine` run of the same module/config.
+    injection at a different distance per cell) — and demands every
+    cell be bit-identical (return value + full PMU counter vector) to
+    a fresh sequential turbo :class:`Machine` run of the same
+    module/config.
 
     Unlike :func:`check_program`'s cells this path runs **unprofiled**
     (no LBR/PEBS sampling, no tracing): the batch tier excludes
@@ -479,7 +479,7 @@ def check_batch(
     from repro.machine.batch import BatchCell, run_batch
 
     config = config or OracleConfig()
-    base = config.machine_config("fast")
+    base = config.machine_config("turbo")
 
     def uniform_cells() -> list:
         cells = []
@@ -503,21 +503,13 @@ def check_batch(
             cells.append(BatchCell(module, space, base))
         return cells
 
-    # Every axis runs once per batch tier: the per-block chains and the
-    # fused superblock tier must both be bit-identical with sequential
-    # (and hence with each other) on every cell.
-    combos = [
-        (f"{base_label}/{tier}", make, tier)
-        for base_label, make in (
-            ("batch-uniform", uniform_cells),
-            ("batch-aj", aj_cells),
-        )
-        for tier in ("batch", "batchturbo")
-    ]
     outcomes: dict = {}
-    for label, make, tier in combos:
+    for label, make in (
+        ("batch-uniform", uniform_cells),
+        ("batch-aj", aj_cells),
+    ):
         try:
-            outcome = run_batch(make(), function=config.function, tier=tier)
+            outcome = run_batch(make(), function=config.function)
         except Exception as error:
             raise OracleFailure(
                 "exception", f"run_batch raised {error!r}", label
@@ -592,14 +584,15 @@ def check_codecache(
 ) -> dict:
     """The fresh-compile ≡ codecache-load oracle axis.
 
-    For every cacheable engine x scheme x tracing mode, three cells run
-    the same program: *fresh* (code cache force-disabled), *populate*
+    For every cacheable engine x scheme, untraced, three cells run the
+    same program: *fresh* (code cache force-disabled), *populate*
     (an empty per-spec cache directory: miss + put), and *warm* (a new
     Machine served from the now-populated cache).  All three must be
     bit-identical on every compared stream (value, PMU counters, LBR,
-    PEBS, trace events); the warm cell must be an actual cache hit with
+    PEBS); the warm cell must be an actual cache hit with
     zero invalidations — a warm run that silently recompiled would hide
-    a broken loader forever.
+    a broken loader forever.  Traced runs are not cells: a traced
+    compile builds no superblocks and never consults the cache.
 
     Returns ``{"cells": n, "hits": n}``; raises :class:`OracleFailure`
     on the first violation.
@@ -628,86 +621,64 @@ def check_codecache(
                         scheme,
                     ) from error
                 for engine in engines:
-                    for traced in config.traced_modes:
-                        observations = {}
-                        for label, knob in (
-                            ("fresh", "off"),
-                            ("populate", tmp),
-                            ("warm", tmp),
-                        ):
-                            invalidated = cache.invalidated
-                            cache_hits = cache.hits
-                            try:
-                                observations[label] = _codecache_observe(
-                                    builder, engine, traced, config, knob
-                                )
-                            except OracleFailure:
-                                raise
-                            except Exception as error:
+                    observations = {}
+                    for label, knob in (
+                        ("fresh", "off"),
+                        ("populate", tmp),
+                        ("warm", tmp),
+                    ):
+                        invalidated = cache.invalidated
+                        cache_hits = cache.hits
+                        try:
+                            observations[label] = _codecache_observe(
+                                builder, engine, False, config, knob
+                            )
+                        except OracleFailure:
+                            raise
+                        except Exception as error:
+                            raise OracleFailure(
+                                "exception",
+                                f"{label} run raised {error!r}",
+                                scheme,
+                                engine,
+                                False,
+                            ) from error
+                        if cache.invalidated != invalidated:
+                            raise OracleFailure(
+                                "codecache-invalidated",
+                                f"{label} run invalidated a cached "
+                                f"module (+{cache.invalidated - invalidated})",
+                                scheme,
+                                engine,
+                                False,
+                            )
+                        if label == "warm" and cache.hits == cache_hits:
+                            raise OracleFailure(
+                                "codecache-cold",
+                                "warm run recorded no cache hit "
+                                "(silent recompile)",
+                                scheme,
+                                engine,
+                                False,
+                            )
+                        if label == "warm":
+                            hits += cache.hits - cache_hits
+                    fresh = observations["fresh"]
+                    for label in ("populate", "warm"):
+                        observation = observations[label]
+                        for key in _COMPARED_KEYS:
+                            if observation[key] != fresh[key]:
                                 raise OracleFailure(
-                                    "exception",
-                                    f"{label} run raised {error!r}",
-                                    scheme,
-                                    engine,
-                                    traced,
-                                ) from error
-                            if cache.invalidated != invalidated:
-                                raise OracleFailure(
-                                    "codecache-invalidated",
-                                    f"{label} run invalidated a cached "
-                                    f"module (+{cache.invalidated - invalidated})",
-                                    scheme,
-                                    engine,
-                                    traced,
-                                )
-                            if label == "warm" and cache.hits == cache_hits:
-                                raise OracleFailure(
-                                    "codecache-cold",
-                                    "warm run recorded no cache hit "
-                                    "(silent recompile)",
-                                    scheme,
-                                    engine,
-                                    traced,
-                                )
-                            if label == "warm":
-                                hits += cache.hits - cache_hits
-                        fresh = observations["fresh"]
-                        for label in ("populate", "warm"):
-                            observation = observations[label]
-                            for key in _COMPARED_KEYS:
-                                if observation[key] != fresh[key]:
-                                    raise OracleFailure(
-                                        "codecache-differential",
-                                        _describe_diff(
-                                            key, fresh[key], observation[key]
-                                        )
-                                        + f" ({label} vs fresh)",
-                                        scheme,
-                                        engine,
-                                        traced,
+                                    "codecache-differential",
+                                    _describe_diff(
+                                        key, fresh[key], observation[key]
                                     )
-                            if traced:
-                                for field in (
-                                    "counts", "spans", "demand", "stats",
-                                    "site_reports",
-                                ):
-                                    if (
-                                        observation["trace"][field]
-                                        != fresh["trace"][field]
-                                    ):
-                                        raise OracleFailure(
-                                            "codecache-differential",
-                                            _describe_diff(
-                                                f"trace.{field}",
-                                                fresh["trace"][field],
-                                                observation["trace"][field],
-                                            )
-                                            + f" ({label} vs fresh)",
-                                            scheme,
-                                            engine,
-                                            traced,
-                                        )
-                        cells += 1
+                                    + f" ({label} vs fresh)",
+                                    scheme,
+                                    engine,
+                                    False,
+                                )
+                    cells += 1
         finally:
             codecache.forget(tmp)
     return {"cells": cells, "hits": hits}
@@ -767,14 +738,12 @@ def check_codecache_selftest(
                 )
                 for name in clean_module.functions:
                     clean_fn = clean_module.function(name)
-                    key = cache.key(clean_fn, machine_config, engine)
+                    key = cache.key(clean_fn, machine_config)
                     clean_ir = dict(key.params)["ir"]
                     stale = None
                     if name in mutant_module.functions:
                         mutant_key = cache.key(
-                            mutant_module.function(name),
-                            machine_config,
-                            engine,
+                            mutant_module.function(name), machine_config
                         )
                         stale = cache.store.get(mutant_key)
                     if stale is not None and stale.get("ir") != clean_ir:

@@ -630,8 +630,7 @@ class TuningService:
             by_scheme.setdefault(cells[index]["scheme"], []).append(index)
         for scheme, indices in by_scheme.items():
             group_meta = self._run_sweep_group(
-                workload, scale, scheme, indices, cells, keys, config,
-                engine,
+                workload, scale, scheme, indices, cells, keys, config
             )
             groups.append(group_meta)
 
@@ -659,7 +658,6 @@ class TuningService:
         cells: list[dict],
         keys: list,
         config: MachineConfig,
-        engine: Optional[str],
     ) -> dict:
         """Build, batch-execute and store one scheme's missing cells."""
         batch_cells: list[BatchCell] = []

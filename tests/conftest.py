@@ -217,6 +217,6 @@ def nested_indirect():
     return build_nested_indirect()
 
 
-def run_on(module, space, config=None, engine="translate", function="main"):
+def run_on(module, space, config=None, engine="turbo", function="main"):
     machine = Machine(module, space, config=config, engine=engine)
     return machine.run(function)

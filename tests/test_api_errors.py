@@ -74,8 +74,12 @@ def test_bad_json_text_raises_from_json():
 def test_request_validation_still_fires_through_payloads():
     with pytest.raises(ValueError, match="unknown scheme"):
         api.RunRequest.from_payload(_payload(scheme="psychic"))
-    with pytest.raises(ValueError, match="engine must be one of"):
-        api.RunRequest.from_payload(_payload(engine="quantum"))
+    # "quantum" never existed; the others are removed engines/aliases.
+    for engine in ("quantum", "fast", "translate", "interpret"):
+        with pytest.raises(ValueError, match="engine must be one of"):
+            api.RunRequest.from_payload(_payload(engine=engine))
+        with pytest.raises(ValueError, match="engine must be one of"):
+            api.SweepRequest(workload="BFS-tiny", engine=engine)
 
 
 def test_every_request_type_shares_the_hardened_path():

@@ -372,23 +372,23 @@ class TestLegacyNameKeywordRemoved:
 
 class TestEngineAwareCacheKeys:
     def test_two_engines_share_one_cache_dir(self, tmp_path):
-        """Engine-aware keys: fast and reference runs in the same cache
+        """Engine-aware keys: turbo and reference runs in the same cache
         directory must produce distinct artifacts (no clobbering), and a
         rehydrating service must hit both."""
         first = TuningService(cache_dir=tmp_path)
-        fast = first.run("micro-tiny", "tiny", engine="fast")
-        entries_after_fast = first.store.stats()["entries"]
+        turbo = first.run("micro-tiny", "tiny", engine="turbo")
+        runs_after_turbo = first.store.stats()["by_kind"]["run"]
         reference = first.run("micro-tiny", "tiny", engine="reference")
-        entries_after_both = first.store.stats()["entries"]
-        assert entries_after_both == 2 * entries_after_fast
+        runs_after_both = first.store.stats()["by_kind"]["run"]
+        assert runs_after_both == 2 * runs_after_turbo
         # Bit-identical engines: same payload under different keys.
         assert (
-            fast.result.counters.as_dict()
+            turbo.result.counters.as_dict()
             == reference.result.counters.as_dict()
         )
 
         warm = TuningService(cache_dir=tmp_path)
-        warm.run("micro-tiny", "tiny", engine="fast")
+        warm.run("micro-tiny", "tiny", engine="turbo")
         warm.run("micro-tiny", "tiny", engine="reference")
         counters = warm.metrics.counters()
         assert counters.get("cache.hits", 0) == 2

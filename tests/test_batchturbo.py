@@ -1,8 +1,7 @@
-"""The batched superblock tier (``tier="batchturbo"``): shared fusion
-verdicts with the turbo engine, guarded-nest discovery and execution,
-budget-boundary replay exactness, tier resolution/fallback plumbing,
-the vectorized L1 tag lane, the batch code cache, and the service/CLI
-surfaces that report which tier ran."""
+"""The batched superblock tier (``batchturbo``): shared fusion verdicts
+with the turbo engine, guarded-nest discovery and execution,
+budget-boundary replay exactness, fallback plumbing, the batch code
+cache, and the service/CLI surfaces that report which tier ran."""
 
 from __future__ import annotations
 
@@ -17,11 +16,9 @@ from repro.ir.nodes import Module
 from repro.ir.verifier import verify_module
 from repro.machine import codecache
 from repro.machine.batch import (
-    BATCH_TIERS,
     BatchCell,
     BatchMachine,
     FALLBACK_CODES,
-    resolve_tier,
     run_batch,
 )
 from repro.machine.config import MachineConfig
@@ -35,10 +32,9 @@ from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
 from repro.machine.superblock import compile_turbo
 from repro.mem.address import AddressSpace
-from repro.mem.batch import vector_threshold
 from repro.workloads.registry import TINY_SUITE, make_workload
 from tests.conftest import tiny_memory
-from tests.test_machine_batch import build_kernel, fast_config
+from tests.test_machine_batch import build_kernel, cell_config
 
 
 def build_guarded_nest(
@@ -148,9 +144,9 @@ class TestGuardedNestFusion:
 
     @pytest.mark.parametrize("enter_on_true", [True, False])
     def test_engines_agree_on_guarded_nest(self, enter_on_true):
-        config = fast_config(tiny_memory())
+        config = cell_config(tiny_memory())
         results = {}
-        for engine in ("reference", "fast", "turbo"):
+        for engine in ("reference", "turbo"):
             module, space, expected = build_guarded_nest(
                 enter_on_true=enter_on_true
             )
@@ -159,13 +155,12 @@ class TestGuardedNestFusion:
             ).run("main")
             assert result.value == expected
             results[engine] = result.counters.as_dict()
-        assert results["fast"] == results["reference"]
         assert results["turbo"] == results["reference"]
 
     @pytest.mark.parametrize("enter_on_true", [True, False])
     def test_batchturbo_bit_identical_on_guarded_nest(self, enter_on_true):
         memory = tiny_memory()
-        configs = [fast_config(memory.scaled(s)) for s in (1, 2, 4, 8)]
+        configs = [cell_config(memory.scaled(s)) for s in (1, 2, 4, 8)]
         cells, rebuilds = [], []
         for config in configs:
             module, space, _ = build_guarded_nest(
@@ -175,7 +170,7 @@ class TestGuardedNestFusion:
             rebuilds.append(
                 build_guarded_nest(enter_on_true=enter_on_true)[:2]
             )
-        outcome = run_batch(cells, tier="batchturbo")
+        outcome = run_batch(cells)
         assert outcome.batched and outcome.tier == "batchturbo"
         assert_cells_match_sequential(outcome, rebuilds, configs)
 
@@ -197,9 +192,9 @@ class TestVerdictAgreement:
             cell_instance = make_workload(name, "tiny")
             cell_module, cell_space = cell_instance.build()
             cells.append(
-                BatchCell(cell_module, cell_space, fast_config(tiny_memory()))
+                BatchCell(cell_module, cell_space, cell_config(tiny_memory()))
             )
-        bm = BatchMachine(cells, tier="batchturbo")
+        bm = BatchMachine(cells)
         btf = bm._compile(entry)
         batch_headers = {sb.header for sb in btf.superblocks()}
 
@@ -219,7 +214,7 @@ class TestVerdictAgreement:
 # ----------------------------------------------------------------------
 class TestBudgetBoundaryReplay:
     def test_budget_sweep_matches_sequential_at_every_boundary(self):
-        base = fast_config(tiny_memory())
+        base = cell_config(tiny_memory())
         module, space, _ = build_guarded_nest(outer=24, inner=4)
         total = (
             Machine(module, space, config=base)
@@ -253,7 +248,7 @@ class TestBudgetBoundaryReplay:
                 )
                 cells.append(BatchCell(cell_module, cell_space, cfg))
             try:
-                outcome = run_batch(cells, tier="batchturbo")
+                outcome = run_batch(cells)
             except ExecutionLimitExceeded:
                 batched = [("limit",), ("limit",)]
             else:
@@ -273,37 +268,22 @@ class TestBudgetBoundaryReplay:
 # Tier resolution + fallback reporting
 # ----------------------------------------------------------------------
 class TestTierPlumbing:
-    def test_resolve_tier(self):
-        module, space = build_kernel()
-        fast_cells = [BatchCell(module, space, fast_config())]
-        turbo_cells = [
-            BatchCell(
-                module, space, replace(fast_config(), engine="turbo")
-            )
-        ]
-        for tier in BATCH_TIERS:
-            assert resolve_tier(fast_cells, tier) == tier
-            assert resolve_tier(turbo_cells, tier) == tier
-        assert resolve_tier(fast_cells, None) == "batch"
-        assert resolve_tier(turbo_cells, None) == "batchturbo"
-        with pytest.raises(ValueError, match="unknown batch tier"):
-            resolve_tier(fast_cells, "warp")
-
     def test_turbo_engine_cells_pick_batchturbo(self):
-        config = replace(fast_config(tiny_memory()), engine="turbo")
-        cells = [
-            BatchCell(*build_kernel(), config),
-            BatchCell(*build_kernel(), config),
-        ]
-        outcome = run_batch(cells)
-        assert outcome.batched
-        assert outcome.tier == "batchturbo"
+        # Every aligned batch runs batchturbo; the cells' engine only
+        # picks what a per-cell replay would run.
+        for engine in ("turbo", "reference"):
+            config = replace(cell_config(tiny_memory()), engine=engine)
+            cells = [
+                BatchCell(*build_kernel(), config),
+                BatchCell(*build_kernel(), config),
+            ]
+            outcome = run_batch(cells)
+            assert outcome.batched
+            assert outcome.tier == "batchturbo"
 
     def test_single_cell_replays(self):
-        config = fast_config(tiny_memory())
-        outcome = run_batch(
-            [BatchCell(*build_kernel(), config)], tier="batchturbo"
-        )
+        config = cell_config(tiny_memory())
+        outcome = run_batch([BatchCell(*build_kernel(), config)])
         assert not outcome.batched
         assert outcome.tier == "replay"
         assert outcome.reason_code == "single-cell"
@@ -312,12 +292,12 @@ class TestTierPlumbing:
         assert outcome.results[0].value == value
 
     def test_divergent_cells_replay_with_reason_code(self):
-        config = fast_config(tiny_memory())
+        config = cell_config(tiny_memory())
         cells = [
             BatchCell(*build_kernel(distance=None), config),
             BatchCell(*build_kernel(distance=4), config),
         ]
-        outcome = run_batch(cells, tier="batchturbo")
+        outcome = run_batch(cells)
         assert not outcome.batched
         assert outcome.tier == "replay"
         assert outcome.reason_code in FALLBACK_CODES
@@ -328,42 +308,6 @@ class TestTierPlumbing:
         assert_cells_match_sequential(
             outcome, rebuilds, [config, config]
         )
-
-
-# ----------------------------------------------------------------------
-# Vectorized L1 tag lane
-# ----------------------------------------------------------------------
-class TestVectorLane:
-    def test_threshold_default_keeps_lane_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_VECTOR_CELLS", raising=False)
-        assert vector_threshold() == 256
-        config = fast_config(tiny_memory())
-        cells = [BatchCell(*build_kernel(), config) for _ in range(4)]
-        bm = BatchMachine(cells, tier="batchturbo")
-        assert bm.vector is False
-        monkeypatch.setenv("REPRO_BATCH_VECTOR_CELLS", "0")
-        assert vector_threshold() > (1 << 32)
-
-    def test_forced_lane_is_bit_identical_and_consistent(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_VECTOR_CELLS", "1")
-        memory = tiny_memory()
-        configs = [fast_config(memory.scaled(s)) for s in (1, 2, 4, 8)]
-        cells = [
-            BatchCell(*build_kernel(n=200), config) for config in configs
-        ]
-        bm = BatchMachine(cells, tier="batchturbo")
-        assert bm.vector is True
-        lane = bm.bindings.lane
-        assert lane is not None
-        results = bm.run("main")
-        assert lane.probes > 0
-        # Every clean cell's MRU mirror still matches a structural scan.
-        assert lane.scan_consistent()
-        for result, config in zip(results, configs):
-            module, space = build_kernel(n=200)
-            value, counters = run_sequential(module, space, config)
-            assert result.value == value
-            assert result.counters.as_dict() == counters
 
 
 # ----------------------------------------------------------------------
@@ -380,7 +324,7 @@ class TestBatchCodeCache:
         memory = tiny_memory()
         return [
             replace(
-                fast_config(memory.scaled(scale)), code_cache=cache_dir
+                cell_config(memory.scaled(scale)), code_cache=cache_dir
             )
             for scale in scales
         ]
@@ -389,7 +333,7 @@ class TestBatchCodeCache:
         cells = [
             BatchCell(*build_kernel(n=120), config) for config in configs
         ]
-        outcome = run_batch(cells, tier="batchturbo")
+        outcome = run_batch(cells)
         assert outcome.batched
         return [
             (r.value, r.counters.as_dict()) for r in outcome.results

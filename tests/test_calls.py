@@ -296,24 +296,3 @@ class TestCallTextFormat:
         reparsed = parse_module(format_module(module))
         _, space2, _ = build_two_function_module(n=12)
         assert Machine(reparsed, space2).run("main").value == expected
-
-
-class TestTranslatedCallSource:
-    def test_codegen_emits_trampoline(self):
-        module, space, _ = build_two_function_module(n=4)
-        machine = Machine(module, space)
-        source = machine.translated_source("main")
-        assert "ctx.invoke('lookup'" in source
-        assert "counters.cycles = cycle" in source
-        assert "cycle = int(counters.cycles)" in source
-
-    def test_single_arg_tuple_syntax(self):
-        # (x,) not (x): the generated call must pass a real tuple.
-        module, space, _ = build_two_function_module(n=4)
-        machine = Machine(module, space)
-        source = machine.translated_source("main")
-        import re
-
-        match = re.search(r"ctx\.invoke\('lookup', \(([^)]*)\), ", source)
-        assert match is not None
-        assert match.group(1).endswith(",")

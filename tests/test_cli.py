@@ -1,6 +1,10 @@
 """Tests for the apt-get-prefetch command line."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,21 +174,39 @@ def test_run_with_trace_export(tmp_path, capsys):
 
 
 def test_run_engine_flag(capsys):
-    for engine in ("fast", "translate", "reference"):
+    for engine in ("turbo", "reference"):
         assert main(
             ["run", "--workload", "micro-tiny", "--scale", "tiny",
              "--engine", engine]
         ) == 0
-    # The deprecated alias still parses (argparse accepts it as a choice).
-    assert main(
-        ["run", "--workload", "micro-tiny", "--scale", "tiny",
-         "--engine", "interpret"]
-    ) == 0
 
 
-def test_engine_flag_rejects_unknown():
-    with pytest.raises(SystemExit):
-        main(["run", "--workload", "micro-tiny", "--engine", "jit"])
+def test_engine_flag_rejects_unknown(capsys):
+    # "jit" never existed; the others are removed engines/aliases.
+    for engine in ("jit", "fast", "translate", "interpret"):
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--workload", "micro-tiny", "--engine", engine])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"invalid choice: '{engine}'" in err
+        assert "'turbo', 'reference'" in err
+
+
+def test_stale_engine_env_exits_2_with_one_line():
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "repro.cli", "run", "--workload",
+         "micro-tiny", "--scale", "tiny"],
+        env={**os.environ, "PYTHONPATH": str(src), "REPRO_ENGINE": "fast"},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == [
+        "error: REPRO_ENGINE='fast': engine must be one of "
+        "('turbo', 'reference')"
+    ]
 
 
 def test_profile_and_disasm_take_engine_and_scale(tmp_path, capsys):
@@ -196,20 +218,20 @@ def test_profile_and_disasm_take_engine_and_scale(tmp_path, capsys):
     assert profile_path.exists()
     assert main(
         ["disasm", "--workload", "micro-tiny", "--scale", "tiny",
-         "--engine", "fast"]
+         "--engine", "turbo"]
     ) == 0
 
 
 def test_engines_match_through_cli(capsys):
     """The --engine knob must not change reported numbers."""
     outputs = {}
-    for engine in ("fast", "reference"):
+    for engine in ("turbo", "reference"):
         assert main(
             ["run", "--workload", "micro-tiny", "--scale", "tiny",
              "--engine", engine]
         ) == 0
         outputs[engine] = capsys.readouterr().out
-    assert outputs["fast"] == outputs["reference"]
+    assert outputs["turbo"] == outputs["reference"]
 
 
 def test_report_legacy_fixed_distance_alias(capsys):

@@ -37,7 +37,7 @@ def _observe(module, space, config, engine):
     )
 
 
-@pytest.mark.parametrize("engine", ["turbo", "translate"])
+@pytest.mark.parametrize("engine", ["turbo"])
 def test_roundtrip_bit_identical(cache_dir, engine):
     module, space, expected = build_nested_indirect()
     fresh = _observe(module, space, _config(None), engine)
@@ -60,8 +60,8 @@ def test_turbo_warm_load_rebuilds_superblocks(cache_dir):
     cold.run("main")
     warm = Machine(module, space, config=config, engine="turbo")
     warm.run("main")
-    fused_cold = cold._compiled[("turbo", "main")].superblocks()
-    fused_warm = warm._compiled[("turbo", "main")].superblocks()
+    fused_cold = cold._compiled["main"].superblocks()
+    fused_warm = warm._compiled["main"].superblocks()
     assert len(fused_warm) == len(fused_cold) > 0
     for a, b in zip(fused_cold, fused_warm):
         assert (a.header, a.header_index, a.path, a.depth) == (
@@ -74,15 +74,20 @@ def test_turbo_warm_load_rebuilds_superblocks(cache_dir):
         assert a.source_profiled == b.source_profiled
 
 
-def test_fast_engine_is_not_cached(cache_dir):
+def test_traced_compile_is_not_cached(cache_dir):
+    # A traced compile builds block chains only: nothing to serialize.
     module, space, expected = build_indirect_loop()
-    result = Machine(
-        module, space, config=_config(cache_dir), engine="fast"
-    ).run("main")
-    assert result.value == expected
+    machine = Machine(module, space, config=_config(cache_dir))
+    machine.enable_tracing()
+    assert machine.run("main").value == expected
     cache = codecache.resolve(cache_dir)
     assert cache.hits == cache.misses == 0
     assert cache.store.stats()["entries"] == 0
+    # The first untraced compile fuses through the cache.
+    machine.disable_tracing()
+    machine.run("main")
+    assert cache.misses == 1
+    assert cache.store.stats()["entries"] == 1
 
 
 def test_code_cache_is_nonsemantic_for_fingerprints(cache_dir):
@@ -125,8 +130,8 @@ def test_stale_ir_is_detected_not_executed(cache_dir):
     cache = codecache.resolve(cache_dir)
 
     Machine(module_b, space_b, config=config, engine="turbo").run("main")
-    key_b = cache.key(module_b.function("main"), config, "turbo")
-    key_a = cache.key(module_a.function("main"), config, "turbo")
+    key_b = cache.key(module_b.function("main"), config)
+    key_a = cache.key(module_a.function("main"), config)
     assert key_a.digest() != key_b.digest()
     stale = cache.store.get(key_b)
     assert stale is not None
@@ -149,7 +154,7 @@ def test_stale_ir_is_detected_not_executed(cache_dir):
     [
         lambda p: p.update(cache_tag="cpython-00"),
         lambda p: p.update(schema=-1),
-        lambda p: p.update(engine="translate"),
+        lambda p: p.update(engine="reference"),
         lambda p: p["superblocks"][1].update(code_plain="!!not-base64!!"),
         lambda p: p["superblocks"][1].update(bound_retired=0),
         lambda p: p["superblocks"][1].update(header="no_such_block"),
@@ -161,7 +166,7 @@ def test_tampered_payloads_fall_back(cache_dir, tamper):
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     Machine(module, space, config=config, engine="turbo").run("main")
-    key = cache.key(module.function("main"), config, "turbo")
+    key = cache.key(module.function("main"), config)
     payload = cache.store.get(key)
     assert payload is not None
     assert payload["superblocks"][1] is not None  # the fused loop header
@@ -192,7 +197,7 @@ def test_corrupt_disk_entry_quarantines_then_recompiles(cache_dir):
     config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
     Machine(module, space, config=config, engine="turbo").run("main")
-    key = cache.key(module.function("main"), config, "turbo")
+    key = cache.key(module.function("main"), config)
     path = cache.store._entry_path(key)
     path.write_text("{torn json")
     result = Machine(module, space, config=config, engine="turbo").run("main")
@@ -268,8 +273,8 @@ def test_oracle_axis_smoke():
     spec = generate_spec(7, GeneratorConfig())
     config = OracleConfig(schemes=("none",), traced_modes=(False,))
     report = check_codecache(spec, config)
-    assert report["cells"] == 2  # turbo + translate
-    assert report["hits"] >= 2
+    assert report["cells"] == 1  # turbo, untraced
+    assert report["hits"] >= 1
 
 
 def test_oracle_selftest_smoke():

@@ -27,8 +27,8 @@ from repro.workloads.registry import make_workload
 DISTANCES = (2, 4, 8, 16)
 
 
-def fast_config(memory=None) -> MachineConfig:
-    return MachineConfig(memory=memory or paper_like_memory(), engine="fast")
+def cell_config(memory=None) -> MachineConfig:
+    return MachineConfig(memory=memory or paper_like_memory(), engine="turbo")
 
 
 def build_kernel(n=80, distance=None, branchy=False):
@@ -109,7 +109,7 @@ class TestUniformBatches:
         memory = paper_like_memory()
         cells = _CellSet(
             [
-                (lambda: build_kernel(), fast_config(memory.scaled(s)))
+                (lambda: build_kernel(), cell_config(memory.scaled(s)))
                 for s in (1, 2, 4, 8)
             ]
         )
@@ -118,7 +118,7 @@ class TestUniformBatches:
         assert_identical(outcome, cells)
 
     def test_identical_cells_still_batch(self):
-        cells = _CellSet([(build_kernel, fast_config()) for _ in range(3)])
+        cells = _CellSet([(build_kernel, cell_config()) for _ in range(3)])
         outcome = run_batch(cells.cells)
         assert outcome.batched
         assert_identical(outcome, cells)
@@ -129,7 +129,7 @@ class TestUniformBatches:
             [
                 (
                     lambda: build_kernel(branchy=True),
-                    fast_config(memory.scaled(s)),
+                    cell_config(memory.scaled(s)),
                 )
                 for s in (1, 4)
             ]
@@ -143,7 +143,7 @@ class TestDivergentImmediates:
     def test_distance_sweep_bit_identical(self):
         cells = _CellSet(
             [
-                (lambda d=d: build_kernel(distance=d), fast_config())
+                (lambda d=d: build_kernel(distance=d), cell_config())
                 for d in DISTANCES
             ]
         )
@@ -158,7 +158,7 @@ class TestDivergentImmediates:
             return module, space
 
         cells = _CellSet(
-            [(lambda d=d: build(d), fast_config()) for d in DISTANCES]
+            [(lambda d=d: build(d), cell_config()) for d in DISTANCES]
         )
         outcome = run_batch(cells.cells)
         assert outcome.batched
@@ -184,7 +184,7 @@ class TestDivergentImmediates:
 class TestFallbacks:
     def test_single_cell_runs_sequentially(self):
         module, space = build_kernel()
-        outcome = run_batch([BatchCell(module, space, fast_config())])
+        outcome = run_batch([BatchCell(module, space, cell_config())])
         assert not outcome.batched
         assert outcome.reason == "single cell"
         assert len(outcome.results) == 1
@@ -198,7 +198,7 @@ class TestFallbacks:
         # AJ folds the loop increment into the advance at distance==1,
         # so the d=1 module has one fewer instruction: misaligned.
         cells = _CellSet(
-            [(lambda d=d: build(d), fast_config()) for d in (1, 2)]
+            [(lambda d=d: build(d), cell_config()) for d in (1, 2)]
         )
         outcome = run_batch(cells.cells)
         assert not outcome.batched
@@ -225,7 +225,7 @@ class TestFallbacks:
             return module, AddressSpace()
 
         cells = _CellSet(
-            [(lambda n=n: build(n), fast_config()) for n in (10, 20)]
+            [(lambda n=n: build(n), cell_config()) for n in (10, 20)]
         )
         outcome = run_batch(cells.cells)
         assert not outcome.batched
@@ -248,7 +248,7 @@ class TestFallbacks:
             return module, space
 
         cells = _CellSet(
-            [(lambda v=v: build(v), fast_config()) for v in (7, 9)]
+            [(lambda v=v: build(v), cell_config()) for v in (7, 9)]
         )
         outcome = run_batch(cells.cells)
         assert not outcome.batched
@@ -267,7 +267,7 @@ class TestFallbacks:
             return module, AddressSpace()
 
         cells = _CellSet(
-            [(lambda a=a: build(a), fast_config()) for a in (5, 6)]
+            [(lambda a=a: build(a), cell_config()) for a in (5, 6)]
         )
         outcome = run_batch(cells.cells)
         assert not outcome.batched
@@ -280,11 +280,11 @@ class TestFallbacks:
         memory = paper_like_memory()
         outcome = run_batch(
             [
-                BatchCell(module_a, space_a, fast_config(memory)),
+                BatchCell(module_a, space_a, cell_config(memory)),
                 BatchCell(
                     module_b,
                     space_b,
-                    MachineConfig(memory=memory, engine="fast", alu_cost=2),
+                    MachineConfig(memory=memory, engine="turbo", alu_cost=2),
                 ),
             ]
         )
@@ -306,8 +306,8 @@ class TestFallbacks:
 
         cells = _CellSet(
             [
-                (lambda: build([1, 2, 3]), fast_config()),
-                (lambda: build([1, 2, 4]), fast_config()),
+                (lambda: build([1, 2, 3]), cell_config()),
+                (lambda: build([1, 2, 4]), cell_config()),
             ]
         )
         outcome = run_batch(cells.cells)
@@ -361,7 +361,7 @@ class TestCalls:
         # interprocedural fixpoint must mark the CALL dst divergent; the
         # caller then masks it so control flow stays uniform.
         cells = _CellSet(
-            [(lambda d=d: self._build(d), fast_config()) for d in (3, 9)]
+            [(lambda d=d: self._build(d), cell_config()) for d in (3, 9)]
         )
         plans = analyze_modules([c.module for c in cells.cells])
         assert plans["probe"].ret_divergent
@@ -377,8 +377,8 @@ class TestBatchMachineSurface:
         module_b, space_b = build_kernel()
         machine = BatchMachine(
             [
-                BatchCell(module_a, space_a, fast_config()),
-                BatchCell(module_b, space_b, fast_config()),
+                BatchCell(module_a, space_a, cell_config()),
+                BatchCell(module_b, space_b, cell_config()),
             ]
         )
         with pytest.raises(IRError, match="no function"):
@@ -395,8 +395,8 @@ class TestBatchMachineSurface:
         memory = paper_like_memory()
         machine = BatchMachine(
             [
-                BatchCell(module_a, space_a, fast_config(memory)),
-                BatchCell(module_b, space_b, fast_config(memory.scaled(4))),
+                BatchCell(module_a, space_a, cell_config(memory)),
+                BatchCell(module_b, space_b, cell_config(memory.scaled(4))),
             ]
         )
         first = machine.run()
@@ -406,7 +406,7 @@ class TestBatchMachineSurface:
             assert s.counters.cycles <= f.counters.cycles
 
         seq_module, seq_space = build_kernel()
-        seq = Machine(seq_module, seq_space, config=fast_config(memory))
+        seq = Machine(seq_module, seq_space, config=cell_config(memory))
         seq_first = seq.run()
         seq_second = seq.run()
         assert first[0].counters.as_dict() == seq_first.counters.as_dict()

@@ -1,6 +1,6 @@
-"""Execution-engine tests: interpreter semantics, translator/block-engine
-codegen, and cross-engine differential equality (all engines must agree
-bit-for-bit on values, cycles, counters, and LBR contents)."""
+"""Execution-engine tests: interpreter semantics, turbo codegen, and
+cross-engine differential equality (all engines must agree bit-for-bit
+on values, cycles, counters, and LBR contents)."""
 
 import pytest
 
@@ -9,7 +9,7 @@ from repro.ir.nodes import IRError, Module
 from repro.machine.config import ENGINES, MachineConfig
 from repro.machine.interpreter import ExecutionLimitExceeded, run_function
 from repro.machine.machine import Machine
-from repro.machine.translator import compile_function
+from repro.machine.superblock import compile_turbo
 from repro.mem.address import AddressSpace
 from tests.conftest import (
     build_indirect_loop,
@@ -224,6 +224,9 @@ class TestDifferential:
 
 
 class TestTranslator:
+    """Turbo's IR-to-Python translation (closure chains + generated
+    superblock source)."""
+
     def test_requires_finalized_module(self):
         module = Module("x")
         b = IRBuilder(module)
@@ -231,23 +234,23 @@ class TestTranslator:
         b.at(b.block("entry"))
         b.ret(0)
         with pytest.raises(IRError):
-            compile_function(module.function("f"))
+            compile_turbo(module.function("f"))
 
     def test_source_is_inspectable(self, sum_loop):
         module, space, _ = sum_loop
-        machine = Machine(module, space)
-        source = machine.translated_source("main")
-        assert "def __translated" in source
-        assert "mem_load" in source
-        assert "lbr_push" in source
+        machine = Machine(module, space, engine="turbo")
+        (superblock,) = machine._compile("main").superblocks()
+        assert "def __superblock" in superblock.source_plain
+        assert "lbr_push" not in superblock.source_plain
+        assert "lbr_push" in superblock.source_profiled
 
     def test_compiled_function_cached(self, sum_loop):
         module, space, _ = sum_loop
-        machine = Machine(module, space, engine="translate")
+        machine = Machine(module, space, engine="turbo")
         machine.run("main")
-        first = machine._compiled[("translate", "main")]
+        first = machine._compiled["main"]
         machine.run("main")
-        assert machine._compiled[("translate", "main")] is first
+        assert machine._compiled["main"] is first
 
     def test_lbr_entries_recorded(self, sum_loop):
         module, space, _ = sum_loop

@@ -1,26 +1,41 @@
 """Tests for the Machine facade and MachineConfig/MemoryConfig plumbing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.ir.nodes import IRError
-from repro.machine.config import MachineConfig, paper_like_memory
-from repro.machine.machine import ENGINES, Machine
+from repro.machine.config import ENGINES, MachineConfig, paper_like_memory
+from repro.machine.machine import Machine
 from repro.mem.config import CacheConfig, MemoryConfig
 from tests.conftest import build_indirect_loop, build_sum_loop
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _python(code: str, engine_env: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(SRC), "REPRO_ENGINE": engine_env}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestMachine:
     def test_rejects_unknown_engine(self, sum_loop):
         module, space, _ = sum_loop
-        with pytest.raises(ValueError):
-            Machine(module, space, engine="jit")
-        assert set(ENGINES) == {"turbo", "fast", "translate", "reference"}
-
-    def test_interpret_alias_warns_and_maps_to_reference(self, sum_loop):
-        module, space, _ = sum_loop
-        with pytest.warns(DeprecationWarning):
-            machine = Machine(module, space, engine="interpret")
-        assert machine.engine == "reference"
+        # "jit" never existed; the others are removed engines/aliases.
+        for engine in ("jit", "fast", "translate", "interpret"):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                Machine(module, space, engine=engine)
+        assert ENGINES == ("turbo", "reference")
 
     def test_engine_defaults_from_config(self, sum_loop):
         module, space, _ = sum_loop
@@ -29,10 +44,35 @@ class TestMachine:
         assert machine.engine == "reference"
         assert Machine(module, space).engine == MachineConfig().engine
 
-    def test_config_normalizes_engine_alias(self):
-        assert MachineConfig(engine="interpret").engine == "reference"
-        with pytest.raises(ValueError):
-            MachineConfig(engine="jit")
+    def test_config_rejects_removed_engines(self):
+        assert MachineConfig(engine="reference").engine == "reference"
+        for engine in ("jit", "fast", "translate", "interpret"):
+            with pytest.raises(ValueError, match="engine must be one of"):
+                MachineConfig(engine=engine)
+
+    def test_default_engine_is_turbo(self, monkeypatch):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert MachineConfig().engine == "turbo"
+
+    def test_stale_engine_env_does_not_break_import(self):
+        done = _python("import repro, repro.machine; print('ok')", "fast")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+    def test_stale_engine_env_error_names_the_variable(self):
+        done = _python(
+            "from repro.machine.config import MachineConfig\n"
+            "try:\n"
+            "    MachineConfig()\n"
+            "except ValueError as error:\n"
+            "    print(error)\n",
+            "translate",
+        )
+        assert done.returncode == 0, done.stderr
+        message = done.stdout.strip()
+        assert "REPRO_ENGINE" in message
+        assert "'translate'" in message
+        assert str(ENGINES) in message
 
     def test_rejects_unknown_function(self, sum_loop):
         module, space, _ = sum_loop

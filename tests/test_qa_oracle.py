@@ -29,23 +29,17 @@ from repro.qa.oracle import (
 
 
 def test_generated_programs_pass_full_matrix():
-    # Four engines x tracing on/off x three schemes, bit-identical.
+    # Two engines x tracing on/off x three schemes, bit-identical.
     for seed in (0, 1, 2):
         check_program(generate_spec(seed))
 
 
 def test_batch_axis_is_bit_identical():
     # Uniform cache-scale batch + divergent A&J-distance batch, each
-    # executed on both batch tiers, each cell identical to a fresh
-    # sequential Machine run.
+    # cell identical to a fresh sequential Machine run.
     for seed in (0, 1, 2):
         report = check_batch(generate_spec(seed))
-        assert set(report["axes"]) == {
-            "batch-uniform/batch",
-            "batch-uniform/batchturbo",
-            "batch-aj/batch",
-            "batch-aj/batchturbo",
-        }
+        assert set(report["axes"]) == {"batch-uniform", "batch-aj"}
 
 
 def test_batch_failure_predicate_matches_check():
@@ -105,11 +99,15 @@ def test_mutant_module_is_scratch_copy():
 
 def test_focused_config_narrows_matrix():
     failure = OracleFailure(
-        "differential", "cycles differ", scheme="aj", engine="fast", traced=True
+        "differential",
+        "cycles differ",
+        scheme="aj",
+        engine="turbo",
+        traced=True,
     )
     narrowed = focused_config(failure, OracleConfig())
     assert narrowed.schemes == ("aj",)
-    assert set(narrowed.engines) == {"reference", "fast"}
+    assert set(narrowed.engines) == {"reference", "turbo"}
     # Tracing modes stay un-narrowed: traced runs are compared against
     # the untraced baseline, so the focused matrix still needs both.
     assert narrowed.traced_modes == (False, True)
@@ -151,6 +149,6 @@ def test_run_fuzz_catches_and_records_mutant(tmp_path):
 @pytest.mark.parametrize("scheme", ["none", "aj", "apt-get"])
 def test_single_scheme_slices_run(scheme):
     config = OracleConfig(
-        schemes=(scheme,), engines=("reference", "fast"), traced_modes=(True,)
+        schemes=(scheme,), engines=("reference", "turbo"), traced_modes=(True,)
     )
     check_program(generate_spec(5), config)

@@ -150,7 +150,6 @@ TestStoreRace = StoreRaceMachine.TestCase
 #: an IR literal), so cross-planting entries between programs is exactly
 #: the stale-module scenario the embedded fingerprint exists to catch.
 PROGRAMS = {"p20": 20, "p24": 24, "p28": 28}
-ENGINES = ("turbo", "translate")
 
 
 class CodeCacheMachine(RuleBasedStateMachine):
@@ -165,8 +164,8 @@ class CodeCacheMachine(RuleBasedStateMachine):
         self.programs = {
             name: build_sum_loop(n=n) for name, n in PROGRAMS.items()
         }
-        #: (program, engine) -> "absent" | "valid" | "poisoned" | "torn"
-        self.state: dict[tuple[str, str], str] = {}
+        #: program -> "absent" | "valid" | "poisoned" | "torn"
+        self.state: dict[str, str] = {}
         #: What the counters must have accumulated to.
         self.want = {"hits": 0, "misses": 0, "invalidated": 0}
         self.seq = 0
@@ -176,26 +175,25 @@ class CodeCacheMachine(RuleBasedStateMachine):
         self._tmp.cleanup()
         super().teardown()
 
-    def _key(self, program: str, engine: str) -> CacheKey:
+    def _key(self, program: str) -> CacheKey:
         module, _, _ = self.programs[program]
-        return self.cache.key(module.function("main"), self.config, engine)
+        return self.cache.key(module.function("main"), self.config)
 
-    def _entry_state(self, program: str, engine: str) -> str:
-        return self.state.get((program, engine), "absent")
+    def _entry_state(self, program: str) -> str:
+        return self.state.get(program, "absent")
 
     # -- the one observable operation -----------------------------------
-    @rule(program=st.sampled_from(sorted(PROGRAMS)),
-          engine=st.sampled_from(ENGINES))
-    def run(self, program, engine) -> None:
+    @rule(program=st.sampled_from(sorted(PROGRAMS)))
+    def run(self, program) -> None:
         """Whatever the cache directory holds, a run returns the
         program's known-correct value and books exactly one of
         hit/miss/invalidated according to the entry's true state."""
         module, space, expected = self.programs[program]
         result = Machine(
-            module, space, config=self.config, engine=engine
+            module, space, config=self.config, engine="turbo"
         ).run("main")
         assert result.value == expected
-        entry_state = self._entry_state(program, engine)
+        entry_state = self._entry_state(program)
         if entry_state == "valid":
             self.want["hits"] += 1
         elif entry_state == "poisoned":
@@ -203,65 +201,58 @@ class CodeCacheMachine(RuleBasedStateMachine):
         else:  # absent, or torn bytes quarantined by the store layer
             self.want["misses"] += 1
         # Every non-hit path recompiles and re-puts a valid entry.
-        self.state[(program, engine)] = "valid"
+        self.state[program] = "valid"
 
     # -- sabotage -------------------------------------------------------
     @rule(program=st.sampled_from(sorted(PROGRAMS)),
-          engine=st.sampled_from(ENGINES),
           victim=st.sampled_from(sorted(PROGRAMS)))
-    def plant_stale_module(self, program, engine, victim) -> None:
+    def plant_stale_module(self, program, victim) -> None:
         """Copy another program's compiled payload under this key — the
         cache-dir-copied scenario.  The embedded IR fingerprint must
         flag it on the next load."""
         if program == victim:
             return
         if (
-            self._entry_state(program, engine) != "valid"
-            or self._entry_state(victim, engine) != "valid"
+            self._entry_state(program) != "valid"
+            or self._entry_state(victim) != "valid"
         ):
             return
-        stale = self.cache.store.get(self._key(victim, engine))
+        stale = self.cache.store.get(self._key(victim))
         assert stale is not None
-        self.cache.store.put(self._key(program, engine), stale)
-        self.state[(program, engine)] = "poisoned"
+        self.cache.store.put(self._key(program), stale)
+        self.state[program] = "poisoned"
 
-    @rule(program=st.sampled_from(sorted(PROGRAMS)),
-          engine=st.sampled_from(ENGINES))
-    def booby_trap_blobs(self, program, engine) -> None:
+    @rule(program=st.sampled_from(sorted(PROGRAMS)))
+    def booby_trap_blobs(self, program) -> None:
         """Valid-looking metadata, hostile code blobs: loading must
         invalidate, never execute garbage."""
-        if self._entry_state(program, engine) != "valid":
+        if self._entry_state(program) != "valid":
             return
-        key = self._key(program, engine)
+        key = self._key(program)
         payload = self.cache.store.get(key)
         assert payload is not None
-        if engine == "turbo":
-            for block in payload["superblocks"]:
-                if block is not None:
-                    block["code_plain"] = "AAAA"
-                    block["code_profiled"] = "AAAA"
-            if not any(payload["superblocks"]):
-                payload["ir"] = "0" * 16  # no blobs to trap: stale it
-        else:
-            payload["code"] = "AAAA"
+        for block in payload["superblocks"]:
+            if block is not None:
+                block["code_plain"] = "AAAA"
+                block["code_profiled"] = "AAAA"
+        if not any(payload["superblocks"]):
+            payload["ir"] = "0" * 16  # no blobs to trap: stale it
         self.cache.store.put(key, payload)
-        self.state[(program, engine)] = "poisoned"
+        self.state[program] = "poisoned"
 
-    @rule(program=st.sampled_from(sorted(PROGRAMS)),
-          engine=st.sampled_from(ENGINES))
-    def tear_entry_file(self, program, engine) -> None:
+    @rule(program=st.sampled_from(sorted(PROGRAMS)))
+    def tear_entry_file(self, program) -> None:
         """Corrupt the JSON itself: the store quarantines before the
         codecache ever sees a payload, so this books a miss."""
-        if self._entry_state(program, engine) == "absent":
+        if self._entry_state(program) == "absent":
             return
-        path = self.cache.store._entry_path(self._key(program, engine))
+        path = self.cache.store._entry_path(self._key(program))
         path.write_text("{torn")
-        self.state[(program, engine)] = "torn"
+        self.state[program] = "torn"
 
-    @rule(program=st.sampled_from(sorted(PROGRAMS)),
-          engine=st.sampled_from(ENGINES))
-    def crashed_writer_temp(self, program, engine) -> None:
-        path = self.cache.store._entry_path(self._key(program, engine))
+    @rule(program=st.sampled_from(sorted(PROGRAMS)))
+    def crashed_writer_temp(self, program) -> None:
+        path = self.cache.store._entry_path(self._key(program))
         path.parent.mkdir(parents=True, exist_ok=True)
         self.seq += 1
         (path.parent / f".tmp-race-{self.seq}.json").write_text("{")

@@ -205,8 +205,8 @@ class TestDispatchContract:
     def test_tracing_bypasses_bulk_stepping(self):
         module, space, expected = build_indirect_loop()
         machine = Machine(module, space, engine="turbo")
+        tcf = machine._compile("main")  # untraced compile: fused
         machine.enable_tracing()
-        tcf = machine._compile("main")
         calls = 0
         sb = tcf.superblocks()[0]
         original = sb.run_plain
@@ -223,6 +223,31 @@ class TestDispatchContract:
             sb.run_plain = original
         assert result.value == expected
         assert calls == 0, "bulk stepping must be disabled while tracing"
+
+    def test_traced_compile_builds_no_superblocks(self):
+        module, space, expected = build_indirect_loop()
+        machine = Machine(module, space, engine="turbo")
+        machine.enable_tracing()
+        traced = machine.run("main")
+        tcf = machine._compiled["main"]
+        assert not tcf.fused
+        assert tcf.superblocks() == []
+        assert machine.engine_run_stats()["bulk_iters"] == 0
+
+        # The first untraced compile fuses; the same machine bulk-steps.
+        machine.disable_tracing()
+        untraced = machine.run("main")
+        assert machine._compiled["main"].fused
+        assert machine._compiled["main"].superblocks()
+        assert machine.engine_run_stats()["bulk_iters"] > 0
+
+        # Bit-identical to a fresh untraced machine doing the same runs.
+        fresh_module, fresh_space, _ = build_indirect_loop()
+        fresh = Machine(fresh_module, fresh_space, engine="turbo")
+        for result in (traced, untraced):
+            twin = fresh.run("main")
+            assert result.value == twin.value == expected
+            assert result.counters.as_dict() == twin.counters.as_dict()
 
     def test_bulk_stepping_engages_without_tracing(self):
         module, space, expected = build_indirect_loop()
