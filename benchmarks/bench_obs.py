@@ -4,8 +4,9 @@ costs nothing measurable.
 Two numbers matter:
 
 * **tracing disabled** — the instrumented hierarchy (one
-  ``if self.trace is not None`` guard per slow-path event; the L1-hit
-  fast path is untouched) must run at seed speed, i.e. the disabled
+  ``if self.trace is not None`` guard per miss, fill, eviction or
+  prefetch-use event; the L1 hit is untouched) must run at seed speed,
+  i.e. the disabled
   median must be within run-to-run noise of itself across repeats —
   the acceptance budget is <= 2% added wall time.
 * **tracing enabled** — the full event stream (lifecycle spans, demand

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard for the generative differential-fuzzing subsystem.
 
-Six gates, all with fixed seeds so the job is deterministic:
+Seven gates, all with fixed seeds so the job is deterministic:
 
 1. **Import sanity** — every core runtime module imports cleanly on
    its own, so a broken lazy import cannot hide behind whichever
@@ -30,8 +30,14 @@ Six gates, all with fixed seeds so the job is deterministic:
    warm cell must be a real cache hit), and the
    cache's validate-or-recompile guard must *detect* deliberately stale
    and booby-trapped cached modules (``check_codecache_selftest``).
+7. **Memory mutation self-test** — every seeded one-line
+   ``MemorySystem`` bug in :data:`repro.qa.mutants.MEMORY_MUTANTS` must
+   be *caught* by the independent-model state machine
+   (``tests/test_mem_stateful.MemModelMachine``) within that module's
+   fixed ``MUTANT_EXAMPLES`` derandomized examples, proving the model
+   that carries memory correctness can see a timing or counter bug.
 
-``--stateful`` additionally drives the memory-hierarchy and
+``--stateful`` additionally drives the memory-model and
 store/code-cache hypothesis state machines (``tests/test_mem_stateful``,
 ``tests/test_store_stateful``) at ``--stateful-examples`` examples each
 — the nightly-depth budget, far above the bounded in-suite profiles.
@@ -73,7 +79,6 @@ SANITY_MODULES = (
     "repro.machine.machine",
     "repro.machine.superblock",
     "repro.mem.batch",
-    "repro.mem.fastpath",
     "repro.mem.hierarchy",
     "repro.qa.fuzz",
     "repro.qa.oracle",
@@ -235,28 +240,61 @@ def check_codecache_axis(budget: int, seed: int) -> bool:
     return True
 
 
-def check_stateful_machines(examples: int, seed: int) -> bool:
-    """Nightly-depth run of the hypothesis state machines: the memory
-    hierarchy's fast path and the store/code-cache poisoning model."""
+def _import_test_module(name: str):
+    """Import a module of the test suite (the state machines live
+    there)."""
     import os
 
     root = Path(__file__).resolve().parents[1]
-    # The machines live in the test suite; make both the repo root (for
-    # the ``tests.conftest`` helpers they build programs with) and the
-    # tests directory (for the modules themselves) importable.
+    # Make both the repo root (for the ``tests.*`` helpers the machines
+    # import) and the tests directory (for the modules themselves)
+    # importable.
     for path in (str(root), str(root / "tests")):
         if path not in sys.path:
             sys.path.insert(0, path)
     os.environ.setdefault("CI", "true")  # load the derandomized profile
+    return importlib.import_module(name)
+
+
+def check_memory_mutants() -> bool:
+    """Every seeded memory-model mutant must fail the model machine
+    within the fixed example budget ``MUTANT_EXAMPLES``."""
+    from repro.qa.mutants import MEMORY_MUTANTS
+
+    test_mem_stateful = _import_test_module("test_mem_stateful")
+    examples = test_mem_stateful.MUTANT_EXAMPLES
+    start = time.perf_counter()
+    survivors = [
+        name
+        for name in sorted(MEMORY_MUTANTS)
+        if test_mem_stateful.find_memory_mutant(name, examples) is None
+    ]
+    if survivors:
+        print(
+            f"FAIL: memory mutant(s) {', '.join(survivors)} passed the "
+            f"model machine in {examples} example(s) (the model is blind)"
+        )
+        return False
+    elapsed = time.perf_counter() - start
+    print(
+        f"OK: {len(MEMORY_MUTANTS)} memory mutant(s) caught by the model "
+        f"machine within {examples} example(s) each in {elapsed:.1f}s"
+    )
+    return True
+
+
+def check_stateful_machines(examples: int, seed: int) -> bool:
+    """Nightly-depth run of the hypothesis state machines: the memory
+    model against its independent reimplementation and the
+    store/code-cache poisoning model."""
     from hypothesis import settings
     from hypothesis.stateful import run_state_machine_as_test
 
-    import test_mem_stateful
-    import test_store_stateful
+    test_mem_stateful = _import_test_module("test_mem_stateful")
+    test_store_stateful = _import_test_module("test_store_stateful")
 
     machines = (
         test_mem_stateful.MemModelMachine,
-        test_mem_stateful.MemDifferentialMachine,
         test_store_stateful.StoreRaceMachine,
         test_store_stateful.CodeCacheMachine,
     )
@@ -306,6 +344,7 @@ def main() -> int:
     ok = check_mutation_selftest(args.seed, args.max_mutant_blocks) and ok
     ok = check_batch_axis(args.batch_budget, args.seed) and ok
     ok = check_codecache_axis(args.codecache_budget, args.seed) and ok
+    ok = check_memory_mutants() and ok
     if args.stateful:
         ok = check_stateful_machines(args.stateful_examples, args.seed) and ok
     return 0 if ok else 1

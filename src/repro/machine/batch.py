@@ -989,9 +989,9 @@ class BatchMachine:
             CellState(cell.config, self.space) for cell in cells
         ]
         self.cell_counters = [cell.counters for cell in self.cells]
-        self.load_ports = [cell.load for cell in self.cells]
-        self.store_ports = [cell.store for cell in self.cells]
-        self.prefetch_ports = [cell.prefetch for cell in self.cells]
+        self.cell_loads = [cell.load for cell in self.cells]
+        self.cell_stores = [cell.store for cell in self.cells]
+        self.cell_prefetches = [cell.prefetch for cell in self.cells]
         self.cell_configs = [cell.config for cell in cells]
         self._compiled: dict = {}
         self.bindings = CellBindings(self.cells, self.space)

@@ -14,10 +14,10 @@ generated function per nest that steps **all cells per iteration**:
   ``for _i in RNG`` loops;
 * every memory site advances each cell's private L1/L2/LLC + MSHR
   timing state in the same loop body, with the L1-hit arm inlined
-  exactly as the sequential turbo tier inlines it
-  (:mod:`repro.mem.fastpath` views, pop/re-insert LRU refresh,
-  prefetch-usefulness consumption) and misses delegating to the cell's
-  demand port;
+  exactly as the sequential turbo tier inlines it (the cell
+  :class:`~repro.mem.hierarchy.MemorySystem`'s set lists, pop/re-insert
+  LRU refresh, prefetch-usefulness consumption) and misses delegating
+  to the cell's demand port;
 * per-iteration retired/load/store/taken counts fold into compile-time
   constants applied once per back edge — uniform across cells by
   construction (divergent WORK amounts reject the batch up front);
@@ -237,14 +237,14 @@ class CellBindings:
     )
 
     def __init__(self, cells, space) -> None:
-        fronts = [cell.mem.front() for cell in cells]
+        mems = [cell.mem for cell in cells]
         self.n = len(cells)
         self.rng = range(self.n)
         self.counters = [cell.counters for cell in cells]
-        self.unused = [front._unused for front in fronts]
-        self.l1_sets = [front._l1_sets for front in fronts]
-        self.l1_masks = [front._l1_mask for front in fronts]
-        self.l1_lats = [front._l1_lat for front in fronts]
+        self.unused = [mem._unused for mem in mems]
+        self.l1_sets = [mem._l1_sets for mem in mems]
+        self.l1_masks = [mem._l1_mask for mem in mems]
+        self.l1_lats = [mem._l1_lat for mem in mems]
         self.sp_find = space._find
 
 
@@ -547,8 +547,8 @@ class _BatchSuperblockCodegen:
         return "L1L[_i]"
 
     def _emit_un(self, with_l1_hit: bool) -> None:
-        """The prefetch-usefulness consumption arm (mirrors the
-        fastpath hit arms; loads also count the L1 hit)."""
+        """The prefetch-usefulness consumption arm (mirrors
+        ``MemorySystem``'s L1-hit arms; loads also count the L1 hit)."""
         if with_l1_hit:
             self.emit("C[_i].l1_hits += 1")
         self.emit("_u = UN[_i]")
@@ -1272,9 +1272,9 @@ class BatchTurboCompiledFunction:
             )
         st = _BatchFrame()
         st.counters = bm.cell_counters
-        st.mem_loads = bm.load_ports
-        st.mem_stores = bm.store_ports
-        st.mem_prefetches = bm.prefetch_ports
+        st.mem_loads = bm.cell_loads
+        st.mem_stores = bm.cell_stores
+        st.mem_prefetches = bm.cell_prefetches
         st.sp_load = bm.space.load
         st.sp_store = bm.space.store
         st.invoke = bm._invoke

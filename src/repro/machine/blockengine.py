@@ -30,10 +30,9 @@ Nothing observes ``cycle`` or the counters between those points, so the
 folded schedule is bit-identical to the interpreter's per-instruction
 accumulation (all costs are integers).
 
-Demand loads and stores are issued through
-:meth:`MemorySystem.load_port` / :meth:`store_port`, which hand out the
-L1 front fast path (``repro.mem.fastpath``) when no lifecycle trace is
-attached and the plain slow-path methods when one is.
+Demand loads, stores and software prefetches call
+:meth:`MemorySystem.load` / :meth:`~MemorySystem.store` /
+:meth:`~MemorySystem.prefetch`, bound once per run.
 """
 
 from __future__ import annotations
@@ -701,9 +700,9 @@ class BlockCompiledFunction:
 
         st = _Frame()
         st.counters = counters
-        st.mem_load = mem.load_port()
-        st.mem_store = mem.store_port()
-        st.mem_prefetch = mem.prefetch_port()
+        st.mem_load = mem.load
+        st.mem_store = mem.store
+        st.mem_prefetch = mem.prefetch
         st.sp_load = space.load
         st.sp_store = space.store
         st.lbr_push = ctx.lbr.push

@@ -18,13 +18,16 @@ closures, not source, and are rebuilt on load):
 * **Where.**  The content-addressed service store
   (:class:`repro.service.store.ArtifactStore`), under its own
   ``codecache`` kind, keyed by (IR fingerprint, engine, machine- and
-  memory-config fingerprints, interpreter cache tag, codecache schema
-  version).  The fingerprint of :class:`MachineConfig` excludes the
+  memory-config fingerprints, interpreter cache tag, codegen digest).
+  The codegen digest (:func:`codegen_digest`) hashes the source of the
+  code generators and of everything the generated code binds, so any
+  edit there misses instead of serving code an older generator wrote.
+  The fingerprint of :class:`MachineConfig` excludes the
   ``code_cache`` path itself (see
   :func:`repro.service.store.config_fingerprint`), so identical work
   shares keys across cache locations.
 * **Safety.**  Loads are validate-or-recompile: a payload that fails
-  *any* check — schema or cache-tag mismatch, an embedded IR
+  *any* check — codegen-digest or cache-tag mismatch, an embedded IR
   fingerprint that no longer matches the function (the staleness the
   mutation self-test plants), structural drift against the freshly
   built base, un-unmarshalable blobs — is counted as
@@ -50,10 +53,12 @@ cold-vs-warm split visible per job.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import marshal
 import sys
 import types
+from pathlib import Path
 from typing import Optional
 
 from repro.ir.printer import format_function
@@ -66,9 +71,6 @@ from repro.machine.superblock import (
 )
 from repro.obs import telemetry as obs_telemetry
 
-#: Bump when the cached payload layout changes; old entries then
-#: invalidate (and are rewritten) instead of being misinterpreted.
-CODECACHE_SCHEMA = 1
 
 #: Engines whose compiled form has generated code worth caching
 #: (``reference`` interprets).
@@ -83,6 +85,21 @@ def ir_fingerprint(function) -> str:
     which includes pcs, so any IR or layout change shifts it)."""
     text = format_function(function)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+@functools.cache
+def codegen_digest() -> str:
+    """Digest of the source of ``repro/machine/*.py`` and
+    ``repro/mem/*.py``: the code generators, the payload layout and
+    every object the generated code binds.  Computed once per process."""
+    import repro.mem
+
+    digest = hashlib.sha256()
+    for package in (Path(__file__).parent, Path(repro.mem.__file__).parent):
+        for path in sorted(package.glob("*.py")):
+            digest.update(f"{package.name}/{path.name}\0".encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
 
 
 class CodeCacheInvalid(Exception):
@@ -399,7 +416,7 @@ class CodeCache:
             mem=config_fingerprint(config.memory),
             ir=ir_fingerprint(function),
             cache_tag=sys.implementation.cache_tag,
-            codecache_schema=CODECACHE_SCHEMA,
+            codegen=codegen_digest(),
         )
 
     # ------------------------------------------------------------------
@@ -432,7 +449,7 @@ class CodeCache:
         try:
             body = _pack_turbo(compiled)
             body.update(
-                schema=CODECACHE_SCHEMA,
+                codegen=codegen_digest(),
                 engine="turbo",
                 function=function.name,
                 ir=fingerprint,
@@ -448,8 +465,8 @@ class CodeCache:
         with obs_telemetry.phase(
             "engine.load", workload=function.name, engine="turbo"
         ):
-            if payload.get("schema") != CODECACHE_SCHEMA:
-                raise CodeCacheInvalid("codecache schema mismatch")
+            if payload.get("codegen") != codegen_digest():
+                raise CodeCacheInvalid("codegen digest mismatch")
             if payload.get("engine") != "turbo":
                 raise CodeCacheInvalid("engine mismatch")
             if payload.get("function") != function.name:
@@ -483,7 +500,7 @@ def batch_key(cache: CodeCache, plan, config, vector_digest: str,
         cells=vector_digest,
         ncells=ncells,
         cache_tag=sys.implementation.cache_tag,
-        codecache_schema=CODECACHE_SCHEMA,
+        codegen=codegen_digest(),
     )
 
 
@@ -515,8 +532,8 @@ def load_or_compile_batch(
             with obs_telemetry.phase(
                 "engine.load", workload=plan.name, engine="batchturbo"
             ):
-                if payload.get("schema") != CODECACHE_SCHEMA:
-                    raise CodeCacheInvalid("codecache schema mismatch")
+                if payload.get("codegen") != codegen_digest():
+                    raise CodeCacheInvalid("codegen digest mismatch")
                 if payload.get("engine") != "batchturbo":
                     raise CodeCacheInvalid("engine mismatch")
                 if payload.get("function") != plan.name:
@@ -550,7 +567,7 @@ def load_or_compile_batch(
     try:
         body = _pack_batch(compiled)
         body.update(
-            schema=CODECACHE_SCHEMA,
+            codegen=codegen_digest(),
             engine="batchturbo",
             function=plan.name,
             cell_vector=ordered,

@@ -55,8 +55,8 @@ at their headers, so a run resumed mid-nest after a sample re-enters
 bulk stepping at the inner loop.  While lifecycle tracing is armed the
 stepper is bypassed entirely (``ctx.mem.trace is not None``): traced
 runs take exactly the per-block code paths the observability
-guarantees were established on, mirroring the memory fast path's
-bypass rule.  For the same reason the Machine compiles a function
+guarantees were established on (the inlined L1-hit arms carry no trace
+hooks).  For the same reason the Machine compiles a function
 without superblocks while tracing is armed, and fuses it on its first
 untraced compile.
 
@@ -124,7 +124,7 @@ _ADAPT_MIN_ITERS = 2
 class _SuperblockCodegen:
     """Generates the fused-nest function for one unit.
 
-    The generated function has the signature ``(R, st, fp)``: run fused
+    The generated function has the signature ``(R, st, mem)``: run fused
     iterations against register file ``R`` and frame ``st`` until an
     observation-point guard trips or a side exit is taken, and return
     the dispatch index of the block to resume at — or ``-1`` without
@@ -333,8 +333,8 @@ class _SuperblockCodegen:
         self.lines.append("    " * self.indent + text)
 
     def _emit_l1_probe(self) -> None:
-        """Inline the L1 front-path probe (pop from the structural set
-        view; a hit leaves ``_f``/``_set``/``_line`` for the hit arm)."""
+        """Inline the L1 probe (pop from the memory system's set list;
+        a hit leaves ``_f``/``_set``/``_line`` for the hit arm)."""
         self.emit("_line = _a >> 6")
         self.emit(f"_set = L1S[_line & {self.l1_mask}]")
         self.emit("_f = _set.pop(_line, None)")
@@ -488,12 +488,12 @@ class _SuperblockCodegen:
         ("mem_prefetch", "st.mem_prefetch"),
         ("sp_load", "st.sp_load"),
         ("sp_store", "st.sp_store"),
-        # Inlined L1-hit front path (repro.mem.fastpath views) and the
-        # per-callsite functional segment caches.
-        ("L1S", "fp._l1_sets"),
-        ("C", "fp._counters"),
-        ("UN", "fp._unused"),
-        ("sp_find", "fp.mem.space._find"),
+        # Inlined L1-hit arm (MemorySystem's set lists, counters and
+        # unused table) and the per-callsite functional segment caches.
+        ("L1S", "mem._l1_sets"),
+        ("C", "mem.counters"),
+        ("UN", "mem._unused"),
+        ("sp_find", "mem.space._find"),
         ("lbr_push", "st.lbr_push"),
         ("record_load", "st.record_load"),
         ("pebs_threshold", "st.pebs_threshold"),
@@ -536,7 +536,7 @@ class _SuperblockCodegen:
                 "\n".join(body),
             )
         )
-        header = ["def __superblock(R, st, fp):"]
+        header = ["def __superblock(R, st, mem):"]
         for name, expr in self._BINDS:
             if name in used:
                 header.append(f"    {name} = {expr}")
@@ -964,8 +964,8 @@ class TurboCompiledFunction(BlockCompiledFunction):
     def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
         if ctx.mem.trace is not None or not self.fused:
             # Trace armed -> observation points are everywhere; bulk
-            # stepping is disabled for the whole run (same bypass rule
-            # as the memory fast path): the per-block path runs as is.
+            # stepping is disabled for the whole run: the per-block
+            # path runs as is.
             return super().__call__(ctx, args)
         function = self.function
         if len(args) != len(function.params):
@@ -981,9 +981,9 @@ class TurboCompiledFunction(BlockCompiledFunction):
 
         st = _Frame()
         st.counters = counters
-        st.mem_load = mem.load_port()
-        st.mem_store = mem.store_port()
-        st.mem_prefetch = mem.prefetch_port()
+        st.mem_load = mem.load
+        st.mem_store = mem.store
+        st.mem_prefetch = mem.prefetch
         st.sp_load = space.load
         st.sp_store = space.store
         st.lbr_push = ctx.lbr.push
@@ -1020,7 +1020,6 @@ class TurboCompiledFunction(BlockCompiledFunction):
         # falls back to the per-block path — bit-identical either way,
         # purely a time/space trade.
         superblocks = list(self._superblocks)
-        front = mem.front()
         sb_calls = [0] * len(superblocks)
         sb_iters = [0] * len(superblocks)
         profiled = sampler is not None
@@ -1038,7 +1037,7 @@ class TurboCompiledFunction(BlockCompiledFunction):
                 if sb is not None:
                     run = sb.run_profiled if profiled else sb.run_plain
                     before = st.retired
-                    nxt = run(R, st, front)
+                    nxt = run(R, st, mem)
                     if nxt >= 0:
                         calls = sb_calls[bi] + 1
                         sb_calls[bi] = calls

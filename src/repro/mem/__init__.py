@@ -2,39 +2,20 @@
 
 from repro.mem.address import LINE_BYTES, AddressSpace, MemoryError_, Segment
 from repro.mem.batch import CellState, shared_space, space_mismatch
-from repro.mem.cache import (
-    FLAG_HW_PREFETCHED_UNUSED,
-    FLAG_NONE,
-    FLAG_SW_PREFETCHED_UNUSED,
-    SetAssociativeCache,
-)
+from repro.mem.cache import SetAssociativeCache
 from repro.mem.config import CacheConfig, MemoryConfig
-from repro.mem.fastpath import (
-    MemoryFastPath,
-    build_load_fastpath,
-    build_store_fastpath,
-)
 from repro.mem.hierarchy import MemorySystem
-from repro.mem.hwprefetch import NextLinePrefetcher, StridePrefetcher
 
 __all__ = [
     "AddressSpace",
     "CacheConfig",
     "CellState",
-    "FLAG_HW_PREFETCHED_UNUSED",
-    "FLAG_NONE",
-    "FLAG_SW_PREFETCHED_UNUSED",
     "LINE_BYTES",
     "MemoryConfig",
     "MemoryError_",
-    "MemoryFastPath",
     "MemorySystem",
-    "NextLinePrefetcher",
     "Segment",
     "SetAssociativeCache",
-    "StridePrefetcher",
-    "build_load_fastpath",
-    "build_store_fastpath",
     "shared_space",
     "space_mismatch",
 ]

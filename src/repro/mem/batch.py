@@ -13,8 +13,8 @@ recency, MSHR occupancy, hardware prefetchers, and its own
 Tag checks stay per cell: every probe mutates per-cell state (LRU
 recency, MSHR slots, stride tables), and cells stop agreeing after the
 first capacity difference.  The batched superblock tier inlines the L1
-hit arm per cell over the same structural views the sequential turbo
-engine uses (:mod:`repro.mem.fastpath`).
+hit arm per cell over the same set lists the sequential turbo engine
+reads off :class:`~repro.mem.hierarchy.MemorySystem`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover - hint only, avoids an import cycle
 class CellState:
     """One sweep cell: a private hierarchy + counters over a shared space.
 
-    The ports are pre-bound once at construction so the batched op
+    The demand ports are bound once at construction so the batched op
     closures pay one attribute load per access, exactly like the
     sequential block engine's ``_Frame``.
     """
@@ -43,9 +43,9 @@ class CellState:
         self.config = config
         self.counters = Counters()
         self.mem = MemorySystem(config.memory, space, self.counters)
-        self.load = self.mem.load_port()
-        self.store = self.mem.store_port()
-        self.prefetch = self.mem.prefetch_port()
+        self.load = self.mem.load
+        self.store = self.mem.store
+        self.prefetch = self.mem.prefetch
 
 
 def space_mismatch(

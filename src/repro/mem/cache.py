@@ -1,94 +1,40 @@
-"""Set-associative, LRU, line-granular cache model.
+"""Set-associative, LRU, line-granular cache state.
 
 Lines are identified by ``line = byte_address >> 6``.  Each set is a dict
-mapping line -> flags; Python dicts preserve insertion order, so LRU is
-"pop and re-insert on hit, evict the first key when full".  Flags track
-whether a line was installed by a (software/hardware) prefetch and not yet
-consumed by a demand access — the bookkeeping behind the paper's accuracy
-and early-eviction discussion (§2.3).
+keyed by line; Python dicts preserve insertion order, so LRU is "pop and
+re-insert on hit, evict the first key when full".  The hit, fill and
+eviction logic lives in :class:`repro.mem.hierarchy.MemorySystem`, which
+reads :attr:`SetAssociativeCache.sets` in place; this class only owns
+the geometry and the per-set dicts.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from repro.mem.config import CacheConfig
-
-FLAG_NONE = 0
-FLAG_SW_PREFETCHED_UNUSED = 1
-FLAG_HW_PREFETCHED_UNUSED = 2
-
-EvictionCallback = Callable[[int, int], None]  # (line, flags)
 
 
 class SetAssociativeCache:
-    """One cache level."""
+    """One cache level's state.
 
-    __slots__ = ("config", "_sets", "_set_mask", "on_evict")
+    ``sets`` and ``mask`` are fixed for the cache's lifetime —
+    :meth:`flush` clears the per-set dicts in place — so a reference
+    held by the memory system or by generated code never goes stale.
+    """
 
-    def __init__(
-        self,
-        config: CacheConfig,
-        on_evict: Optional[EvictionCallback] = None,
-    ) -> None:
+    __slots__ = ("config", "sets", "mask")
+
+    def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets: list[dict[int, int]] = [dict() for _ in range(config.sets)]
-        self._set_mask = config.sets - 1
-        self.on_evict = on_evict
-
-    # ------------------------------------------------------------------
-    def lookup(self, line: int) -> Optional[int]:
-        """Return the line's flags (and refresh LRU) or None on miss."""
-        cache_set = self._sets[line & self._set_mask]
-        flags = cache_set.pop(line, None)
-        if flags is None:
-            return None
-        cache_set[line] = flags  # re-insert -> most recently used
-        return flags
-
-    def contains(self, line: int) -> bool:
-        return line in self._sets[line & self._set_mask]
-
-    def set_flags(self, line: int, flags: int) -> None:
-        cache_set = self._sets[line & self._set_mask]
-        if line in cache_set:
-            cache_set[line] = flags
-
-    def insert(self, line: int, flags: int = FLAG_NONE) -> None:
-        """Install a line, evicting the LRU victim if the set is full."""
-        cache_set = self._sets[line & self._set_mask]
-        if cache_set.pop(line, None) is not None:
-            cache_set[line] = flags  # was resident: refresh LRU, reset flags
-            return
-        if len(cache_set) >= self.config.associativity:
-            victim, victim_flags = next(iter(cache_set.items()))
-            del cache_set[victim]
-            if self.on_evict is not None:
-                self.on_evict(victim, victim_flags)
-        cache_set[line] = flags
-
-    def invalidate(self, line: int) -> None:
-        self._sets[line & self._set_mask].pop(line, None)
-
-    # ------------------------------------------------------------------
-    # Structural views for the demand fast path (repro.mem.fastpath).
-    # The set list and mask are fixed for the cache's lifetime — flush()
-    # clears the per-set dicts in place — so a closure holding these
-    # references observes every fill/evict/invalidate immediately.
-    # ------------------------------------------------------------------
-    def sets_view(self) -> list[dict[int, int]]:
-        """The live per-set line->flags dicts (shared, not a copy)."""
-        return self._sets
-
-    def set_mask(self) -> int:
-        return self._set_mask
+        self.sets: list[dict[int, int]] = [dict() for _ in range(config.sets)]
+        self.mask = config.sets - 1
 
     def flush(self) -> None:
-        for cache_set in self._sets:
+        for cache_set in self.sets:
             cache_set.clear()
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self.sets)
 
     def resident_lines(self) -> list[int]:
-        return [line for s in self._sets for line in s]
+        """Every resident line, set by set, each set in LRU order."""
+        return [line for s in self.sets for line in s]

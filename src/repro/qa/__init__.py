@@ -17,8 +17,9 @@ outside the hand-written workload registry:
 * :mod:`repro.qa.corpus` — the replayable regression corpus under
   ``tests/corpus/`` (pytest replays every case).
 * :mod:`repro.qa.fuzz` — the fuzzing driver tying it all together.
-* :mod:`repro.qa.mutants` — deliberately broken scratch engine copies
-  used to prove the oracle + shrinker actually catch bugs.
+* :mod:`repro.qa.mutants` — deliberately broken scratch engine and
+  memory-model copies used to prove the oracle + shrinker and the
+  memory model's state machine actually catch bugs.
 """
 
 from repro.qa.corpus import (

@@ -1,4 +1,5 @@
-"""Deliberately broken scratch engine copies (oracle self-tests).
+"""Deliberately broken scratch engine and memory-model copies
+(oracle self-tests).
 
 A fuzzer that never fails proves nothing — these mutants prove the
 differential oracle and the shrinker actually catch and minimize engine
@@ -13,6 +14,10 @@ parameter: the returned factory builds a normal turbo :class:`Machine`
 whose compiled-form cache is pre-populated from the mutated compiler,
 so every other layer (memory, PMU, tracing, sampling) is the production
 code — exactly the situation a real engine regression would create.
+
+The memory mutants (:data:`MEMORY_MUTANTS`) are built the same way from
+:mod:`repro.mem.hierarchy`; each yields a broken ``MemorySystem`` class
+for the independent-model state machine to catch.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import types
 
 from repro.machine import blockengine, superblock
 from repro.machine.machine import Machine
+from repro.mem import hierarchy
 from repro.qa.oracle import OracleConfig
 
 #: Off-by-one target: the block compiler's RET cost accounting.  Every
@@ -160,3 +166,44 @@ def mutant_oracle_setup(base: OracleConfig = None):
         traced_modes=(False,),
     )
     return config, {MUTANT_ENGINE: offbyone_runner(config)}
+
+
+#: Seeded one-line bugs in the memory model: name -> (needle,
+#: mutation).  The independent model in ``tests/test_mem_stateful.py``
+#: must catch every one (``scripts/ci_fuzz_check.py`` gates on it).
+MEMORY_MUTANTS = {
+    # The FIFO drain completes every fill one cycle late.
+    "drain-late": (
+        "            if ready > now:\n",
+        "            if ready + 1 > now:\n",
+    ),
+    # A load coalescing with a software prefetch is not counted late.
+    "coalesce-no-late-count": (
+        "                counters.load_hit_pre_sw_pf += 1\n",
+        "                pass\n",
+    ),
+    # The stride prefetcher requests one line fewer than its degree.
+    "stride-short-degree": (
+        "            for i in range(1, self._stride_degree + 1):\n",
+        "            for i in range(1, self._stride_degree):\n",
+    ),
+}
+
+
+def memory_mutant(name: str) -> type:
+    """A scratch copy of :class:`repro.mem.hierarchy.MemorySystem` with
+    the seeded bug ``name`` (a key of :data:`MEMORY_MUTANTS`)."""
+    needle, mutation = MEMORY_MUTANTS[name]
+    source = inspect.getsource(hierarchy)
+    if source.count(needle) != 1:
+        raise RuntimeError(
+            f"mutation anchor for {name!r} not found exactly once in the "
+            "hierarchy source; update repro.qa.mutants after refactoring"
+        )
+    module = types.ModuleType(f"repro.mem._qa_mutant_{name.replace('-', '_')}")
+    module.__file__ = f"<qa-mutant:{name}>"
+    exec(
+        compile(source.replace(needle, mutation), module.__file__, "exec"),
+        module.__dict__,
+    )
+    return module.MemorySystem

@@ -74,6 +74,25 @@ def test_turbo_warm_load_rebuilds_superblocks(cache_dir):
         assert a.source_profiled == b.source_profiled
 
 
+def test_codegen_change_misses_and_recompiles(cache_dir, monkeypatch):
+    # An entry written by one code generator must never be served to
+    # another: the codegen digest is part of the key and the payload.
+    module, space, expected = build_nested_indirect()
+    config = _config(cache_dir)
+    fresh = _observe(module, space, _config(None), "turbo")
+    _observe(module, space, config, "turbo")
+    cache = codecache.resolve(cache_dir)
+    assert (cache.misses, cache.hits) == (1, 0)
+    old_key = cache.key(module.function("main"), config)
+    monkeypatch.setattr(codecache, "codegen_digest", lambda: "f" * 16)
+    assert cache.key(module.function("main"), config) != old_key
+    reloaded = _observe(module, space, config, "turbo")
+    assert reloaded == fresh
+    assert reloaded[0] == expected
+    assert (cache.misses, cache.hits, cache.invalidated) == (2, 0, 0)
+    assert cache.store.stats()["by_kind"] == {"codecache": 2}
+
+
 def test_traced_compile_is_not_cached(cache_dir):
     # A traced compile builds block chains only: nothing to serialize.
     module, space, expected = build_indirect_loop()
@@ -153,7 +172,7 @@ def test_stale_ir_is_detected_not_executed(cache_dir):
     "tamper",
     [
         lambda p: p.update(cache_tag="cpython-00"),
-        lambda p: p.update(schema=-1),
+        lambda p: p.update(codegen="0" * 16),
         lambda p: p.update(engine="reference"),
         lambda p: p["superblocks"][1].update(code_plain="!!not-base64!!"),
         lambda p: p["superblocks"][1].update(bound_retired=0),

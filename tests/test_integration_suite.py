@@ -29,8 +29,9 @@ def test_engines_agree_on_workload(name):
 
 @pytest.mark.parametrize("name", NAMES)
 def test_engines_agree_with_tracing_armed(name):
-    """Tracing disarms the memory fast path; the engines must still be
-    bit-identical on counters AND on the observed event stream."""
+    """Tracing disarms bulk stepping and arms the memory model's trace
+    hooks; the engines must still be bit-identical on counters AND on
+    the observed event stream."""
     from repro.obs.sites import site_reports
 
     results = {}

@@ -1,34 +1,31 @@
-"""Property tests for the stacked L1/L2/LLC demand fast path.
+"""The line-removal paths and the fill-buffer drain of the memory
+model's demand fast path (``MemorySystem.load`` / ``store`` /
+``prefetch``).
 
-The fast path keeps no state of its own — its per-level views
-structurally share the caches' set dicts — so the single invariant that
-matters is: after *any* interleaving of demand loads, stores, software
-prefetches, drains, and hardware-prefetch fills, the views must equal a
-fresh structural scan of the hierarchy (same lines, same LRU order,
-same masks).  ``MemoryFastPath.scan_consistent`` performs that scan;
-these tests drive every line-removal path through
-``invalidate_line`` — LLC capacity evictions, hardware-prefetch fills
-displacing a victim, and store write-allocates — and check the
-invariant continuously.
+A line leaves the hierarchy only through an LLC eviction, which
+back-invalidates it from the L1 and L2 and settles its prefetch
+accounting.  These tests drive each way to reach that eviction — LLC
+capacity misses, hardware-prefetch fills displacing a victim, store
+write-allocates — through :class:`tests.test_mem_stateful.Twin`, which
+compares every step with the independent model (lines in LRU order,
+MSHR, unused table, counters) and checks inclusivity.
 """
 
 from __future__ import annotations
 
-import random
-
-from repro.machine.pmu import Counters
 from repro.mem.address import AddressSpace
 from repro.mem.config import CacheConfig, MemoryConfig
-from repro.mem.hierarchy import MemorySystem
+
+from tests.test_mem_stateful import Twin
 
 
-def make_system(stride=False, next_line=False, mshr=8):
+def make_twin(stride=False, next_line=False, mshr=8) -> tuple[Twin, int]:
     """A deliberately tiny hierarchy: 8-line L1, 16-line L2, 32-line
     LLC over a 4096-line segment, so every burst of traffic forces
-    evictions and inclusive back-invalidations."""
+    evictions and inclusive back-invalidations.  Returns the twin and
+    the segment's first line."""
     space = AddressSpace()
     space.allocate("data", 1 << 15, elem_size=8)  # 256 KiB = 4096 lines
-    counters = Counters()
     config = MemoryConfig(
         l1=CacheConfig("L1D", 512, 2, 2),
         l2=CacheConfig("L2", 1024, 2, 12),
@@ -38,130 +35,67 @@ def make_system(stride=False, next_line=False, mshr=8):
         stride_prefetcher=stride,
         next_line_prefetcher=next_line,
     )
-    mem = MemorySystem(config, space, counters)
-    return mem, mem.front(), space, counters
-
-
-def addr(space: AddressSpace, index: int) -> int:
-    return space.segment("data").address_of(index)
-
-
-def assert_inclusive(front) -> None:
-    """The views must show an inclusive hierarchy: every L1/L2-resident
-    line is LLC-resident (back-invalidation keeps this true)."""
-    views = front.view_lines()
-    llc = set(views["llc"])
-    assert set(views["l1"]) <= llc
-    assert set(views["l2"]) <= llc
+    return Twin(config, space), space.segment("data").base >> 6
 
 
 class TestRandomTraffic:
-    def test_views_match_fresh_scan_under_random_traffic(self):
-        """The workhorse property: a long seeded mix of every demand
-        operation, checked against a structural scan throughout."""
-        mem, front, space, counters = make_system(
-            stride=True, next_line=True
-        )
-        rng = random.Random(1234)
-        now = 0.0
-        for step in range(4_000):
-            index = rng.randrange(4096) * 8
-            a = addr(space, index)
-            op = rng.randrange(8)
-            if op < 4:
-                now += front.load(a, now, pc=100 + (index % 7))
-            elif op < 6:
-                now += front.store(a, now, pc=200)
-            else:
-                mem.prefetch(a, now, pc=300)
-                now += 1
-            if step % 97 == 0:
-                assert front.scan_consistent(), f"diverged at step {step}"
-                assert_inclusive(front)
-        # Let every in-flight fill land, then scan one last time.
-        mem.drain(now + 10_000)
-        assert front.scan_consistent()
-        assert mem.inflight() == 0
-        assert counters.l1_hits > 0 and counters.llc_misses > 0
-
     def test_sequential_traffic_with_hw_prefetchers(self):
         """Striding loads keep both hardware prefetchers firing; their
-        fills displace victims through invalidate_line."""
-        mem, front, space, counters = make_system(
-            stride=True, next_line=True
-        )
-        now = 0.0
+        fills displace victims through the same eviction arm."""
+        twin, base = make_twin(stride=True, next_line=True)
+        now = 0
         for i in range(512):
-            now += front.load(addr(space, i * 8), now, pc=77)
-            if i % 31 == 0:
-                assert front.scan_consistent()
-        assert counters.hw_prefetch_issued > 0
-        assert front.scan_consistent()
-        assert_inclusive(front)
+            now += twin.load((base + i) * 64, now, pc=77)
+        assert twin.mem.counters.hw_prefetch_issued > 0
 
 
 class TestInvalidationPaths:
     def test_llc_capacity_eviction_back_invalidates(self):
         """Touching more distinct lines than the LLC holds forces
-        capacity evictions; the victims must vanish from every view."""
-        mem, front, space, counters = make_system()
-        now = 0.0
-        lines = 64  # 2x LLC capacity (32 lines)
-        for i in range(lines):
-            now += front.load(addr(space, i * 8), now, pc=5)
-        views = front.view_lines()
-        assert len(views["llc"]) == 32  # full, having evicted half
-        first_line = addr(space, 0) >> 6
-        assert first_line not in views["llc"]
-        assert first_line not in views["l1"]
-        assert first_line not in views["l2"]
-        assert front.scan_consistent()
-        assert_inclusive(front)
+        capacity evictions; the victims leave every level."""
+        twin, base = make_twin()
+        now = 0
+        for i in range(64):  # 2x LLC capacity (32 lines)
+            now += twin.load((base + i) * 64, now, pc=5)
+        lines = twin.lines()
+        assert len(lines["llc"]) == 32  # full, having evicted half
+        for level in ("l1", "l2", "llc"):
+            assert base not in lines[level]
 
     def test_hw_prefetch_fill_displaces_victim(self):
         """A next-line prefetch fill evicts through the same path as a
-        demand fill; the displaced victim leaves every view."""
-        mem, front, space, counters = make_system(next_line=True)
-        now = 0.0
+        demand fill; the displaced victim leaves every level."""
+        twin, base = make_twin(next_line=True)
+        now = 0
         # Fill the LLC with far-away lines first.
         for i in range(2048, 2048 + 32):
-            now += front.load(addr(space, i * 8), now, pc=5)
-        assert len(front.view_lines()["llc"]) == 32
+            now += twin.load((base + i) * 64, now, pc=5)
+        assert len(twin.lines()["llc"]) == 32
         # Misses issue next-line prefetches; once drained, their fills
-        # must displace residents consistently.
-        for i in range(16):
-            now += front.load(addr(space, i * 8), now, pc=6)
+        # displace residents.
+        for i in range(0, 32, 2):
+            now += twin.load((base + i) * 64, now, pc=6)
+        issued = twin.mem.counters.hw_prefetch_issued
+        assert issued > 0
         now += 10_000
-        now += front.load(addr(space, 4000 * 8), now, pc=7)  # drains
-        assert counters.hw_prefetch_issued > 0
-        assert front.scan_consistent()
-        assert_inclusive(front)
+        twin.load((base + 4000) * 64, now, pc=7)  # drains every fill
+        assert twin.mem.inflight() <= 1  # only the newest next-line
+        assert twin.mem.counters.hw_prefetch_issued == issued + 1
+        llc = twin.lines()["llc"]
+        assert base + 1 in llc and base + 2048 not in llc
 
     def test_store_write_allocate_evicts_consistently(self):
         """Store misses write-allocate; the fills evict residents and
-        the usefulness side table stays in sync."""
-        mem, front, space, counters = make_system()
-        now = 0.0
-        for i in range(64):
-            now += front.store(addr(space, i * 8), now, pc=9)
-            if i % 13 == 0:
-                assert front.scan_consistent()
-        assert front.scan_consistent()
-        assert_inclusive(front)
-
-    def test_direct_invalidate_line_removes_everywhere(self):
-        mem, front, space, counters = make_system()
-        a = addr(space, 0)
-        front.load(a, 0.0, pc=1)
-        line = a >> 6
-        views = front.view_lines()
-        assert line in views["l1"] and line in views["llc"]
-        front.invalidate_line(a)
-        views = front.view_lines()
-        assert line not in views["l1"]
-        assert line not in views["l2"]
-        assert line not in views["llc"]
-        assert front.scan_consistent()
+        settle the evicted lines' prefetch accounting."""
+        twin, base = make_twin()
+        now = 0
+        for i in range(8):
+            twin.prefetch((base + i) * 64, now, pc=8)
+        now += 1_000  # every prefetch lands, unused
+        for i in range(100, 164):
+            now += twin.store((base + i) * 64, now, pc=9)
+        assert twin.mem.counters.sw_prefetch_early_evicted == 8
+        assert twin.mem._unused == {}
 
 
 class TestDrainOrdering:
@@ -169,37 +103,21 @@ class TestDrainOrdering:
         """MSHR entries complete strictly in issue order (uniform DRAM
         latency at a monotone clock), and a partial drain leaves the
         next-ready bound on the first still-pending entry."""
-        mem, front, space, counters = make_system(mshr=8)
-        base = 1000
+        twin, base = make_twin(mshr=8)
+        mem = twin.mem
+        first = base + 1000
         for i in range(4):
-            mem.prefetch(addr(space, (base + i) * 8), float(i * 10), pc=2)
+            twin.prefetch((first + i) * 64, i * 10, pc=2)
         assert mem.inflight() == 4
         # DRAM latency is 400 total; at now=415 exactly the first two
         # fills (ready at 400 and 410) are due.
-        front.load(addr(space, 0), 415.0, pc=3)
+        twin.load(base * 64, 415, pc=3)
         assert mem.inflight() == 2
-        assert mem._mshr_next_ready == 420.0
-        assert front.scan_consistent()
-        views = front.view_lines()
-        resident = set(views["llc"])
-        assert (addr(space, base * 8) >> 6) in resident
-        assert (addr(space, (base + 1) * 8) >> 6) in resident
-        assert (addr(space, (base + 3) * 8) >> 6) not in resident
+        assert mem._mshr_next_ready == 420
+        llc = twin.lines()["llc"]
+        assert first in llc and first + 1 in llc
+        assert first + 3 not in llc
         # Far in the future everything lands and the bound resets.
-        front.load(addr(space, 8), 100_000.0, pc=3)
+        twin.load((base + 1) * 64, 100_000, pc=3)
         assert mem.inflight() == 0
         assert mem._mshr_next_ready == float("inf")
-        assert front.scan_consistent()
-
-    def test_fastpath_and_slow_path_share_state(self):
-        """Interleaving slow-path and fast-path calls on one system
-        cannot desynchronize the views (they share the set dicts)."""
-        mem, front, space, counters = make_system()
-        now = 0.0
-        for i in range(48):
-            if i % 2:
-                now += front.load(addr(space, i * 8), now, pc=4)
-            else:
-                now += mem.load(addr(space, i * 8), now, pc=4)
-        assert front.scan_consistent()
-        assert_inclusive(front)

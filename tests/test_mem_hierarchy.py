@@ -187,9 +187,10 @@ class TestInclusivity:
         for i in range(1, 64):
             system.load(addr(space, i * 16), now, pc=1)  # every other line
             now += 500
-        assert not system.llc.contains(addr(space, 0) >> 6)
-        assert not system.l1.contains(addr(space, 0) >> 6)
-        assert not system.l2.contains(addr(space, 0) >> 6)
+        line = addr(space, 0) >> 6
+        assert line not in system.llc.resident_lines()
+        assert line not in system.l1.resident_lines()
+        assert line not in system.l2.resident_lines()
 
     def test_flush_clears_everything(self):
         system, space, counters = make_system()

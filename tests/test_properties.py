@@ -16,7 +16,6 @@ from repro.machine.config import ENGINES
 from repro.machine.machine import Machine
 from repro.machine.pmu import Counters, PerfStat
 from repro.mem.address import AddressSpace
-from repro.mem.cache import SetAssociativeCache
 from repro.mem.config import CacheConfig, MemoryConfig
 from repro.mem.hierarchy import MemorySystem
 
@@ -26,26 +25,40 @@ FAST = settings(
 
 
 # ----------------------------------------------------------------------
-# LRU cache
+# LRU cache (the memory model's L1, with an LLC large enough that only
+# the L1 ever evicts and no hardware prefetchers)
 # ----------------------------------------------------------------------
+def _l1_system(lines: int, assoc: int):
+    space = AddressSpace()
+    space.allocate("data", 1 << 12, elem_size=8)  # 512 lines
+    config = MemoryConfig(
+        l1=CacheConfig("L1D", lines * 64, assoc, 1),
+        l2=CacheConfig("L2", 64 * 1024, 8, 10),
+        llc=CacheConfig("LLC", 64 * 1024, 8, 20),
+        stride_prefetcher=False,
+        next_line_prefetcher=False,
+    )
+    base = space.segment("data").base >> 6
+    return MemorySystem(config, space, Counters()), base
+
+
 @FAST
 @given(st.lists(st.integers(min_value=0, max_value=200), max_size=300))
 def test_cache_never_exceeds_capacity(lines):
-    cache = SetAssociativeCache(CacheConfig("t", 8 * 64, 2, 1))
-    for line in lines:
-        cache.insert(line)
-        assert cache.occupancy() <= 8
-    for line in cache.resident_lines():
-        assert cache.contains(line)
+    system, base = _l1_system(8, 2)
+    for now, line in enumerate(lines):
+        system.load((base + line) * 64, now * 1000, pc=1)
+        assert system.l1.occupancy() <= 8
+    assert len(set(system.l1.resident_lines())) == system.l1.occupancy()
 
 
 @FAST
 @given(st.lists(st.integers(min_value=0, max_value=63), min_size=1, max_size=200))
 def test_cache_most_recent_insert_always_present(lines):
-    cache = SetAssociativeCache(CacheConfig("t", 16 * 64, 4, 1))
-    for line in lines:
-        cache.insert(line)
-        assert cache.contains(line)
+    system, base = _l1_system(16, 4)
+    for now, line in enumerate(lines):
+        system.store((base + line) * 64, now * 1000, pc=1)
+        assert base + line in system.l1.resident_lines()
 
 
 @FAST
@@ -56,25 +69,25 @@ def test_cache_most_recent_insert_always_present(lines):
     )
 )
 def test_cache_matches_reference_lru(ops):
-    """Differential test against a straightforward LRU list model."""
+    """Differential test against a straightforward LRU list model: a
+    load reports a hit exactly when the reference holds the line, and
+    loads and stores both leave the line most recently used."""
     assoc = 4
-    cache = SetAssociativeCache(CacheConfig("t", assoc * 64, assoc, 1))
-    reference: list[int] = []  # oldest first, single set (sets=1)
-    for is_lookup, line in ops:
-        if is_lookup:
-            hit = cache.lookup(line) is not None
+    system, base = _l1_system(assoc, assoc)  # a single set
+    reference: list[int] = []  # oldest first
+    for now, (is_load, line) in enumerate(ops):
+        addr = (base + line) * 64
+        if is_load:
+            hit = system.load(addr, now * 1000, pc=1) == 1
             assert hit == (line in reference)
-            if hit:
-                reference.remove(line)
-                reference.append(line)
         else:
-            cache.insert(line)
-            if line in reference:
-                reference.remove(line)
-            elif len(reference) == assoc:
-                reference.pop(0)
-            reference.append(line)
-    assert sorted(cache.resident_lines()) == sorted(reference)
+            system.store(addr, now * 1000, pc=1)
+        if line in reference:
+            reference.remove(line)
+        elif len(reference) == assoc:
+            reference.pop(0)
+        reference.append(line)
+    assert system.l1.resident_lines() == [base + line for line in reference]
 
 
 # ----------------------------------------------------------------------

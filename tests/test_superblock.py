@@ -140,7 +140,7 @@ class TestFusionShape:
         module, _, _ = build_sum_loop()
         tcf = compile_turbo(module.functions["main"])
         sb = tcf.superblocks()[0]
-        assert "def __superblock(R, st, fp):" in sb.source_plain
+        assert "def __superblock(R, st, mem):" in sb.source_plain
         # The entry guard and the hoisted observation-point limits.
         assert "_gc = st.next_sample" in sb.source_plain
         assert "_gm = st.max_instructions" in sb.source_plain
