@@ -12,6 +12,10 @@ Two numbers matter:
 * **tracing enabled** — the full event stream (lifecycle spans, demand
   stalls, branch mirror) is allowed to cost, but simulated timing must
   be bit-identical: tracing observes the machine, never perturbs it.
+  A traced turbo run bulk-steps its profiled superblocks, so the cost
+  is the event stream itself; ``scripts/ci_perf_check.py
+  --max-trace-overhead`` gates ``enabled_overhead`` (CI: 1.0, i.e. a
+  traced run at most 2x the untraced one).
 
 The service-telemetry twin (:func:`measure_telemetry`) applies the same
 discipline one layer up: executing a tiny suite inside a telemetry

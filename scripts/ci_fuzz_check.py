@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard for the generative differential-fuzzing subsystem.
 
-Seven gates, all with fixed seeds so the job is deterministic:
+Eight gates, all with fixed seeds so the job is deterministic:
 
 1. **Import sanity** — every core runtime module imports cleanly on
    its own, so a broken lazy import cannot hide behind whichever
@@ -18,19 +18,26 @@ Seven gates, all with fixed seeds so the job is deterministic:
    *caught* by the oracle and *shrunk* to at most
    ``--max-mutant-blocks`` basic blocks, proving the finder and the
    minimizer both work.
-5. **Batch axis** — every corpus case plus ``--batch-budget`` generated
+5. **Trace-arm mutation self-test** — turbo over a scratch copy of
+   its superblock compiler whose inlined L1-hit arms report a
+   prefetch's first use one L1 latency late must be *caught* by the
+   traced turbo-vs-reference comparison within
+   ``TRACE_MUTANT_BUDGET`` generated programs, while the real turbo
+   passes the same traced matrix — proving traced runs bulk-step and
+   that their trace streams are checked there.
+6. **Batch axis** — every corpus case plus ``--batch-budget`` generated
    programs must be bit-identical between the batched multi-config
    runner (:func:`repro.machine.batch.run_batch`, the
    ``batchturbo`` tier) and fresh sequential turbo ``Machine`` runs of
    the same cells, over both a uniform cache-scale batch and a
    divergent A&J-distance batch.
-6. **Code-cache axis** — every corpus case plus ``--codecache-budget``
+7. **Code-cache axis** — every corpus case plus ``--codecache-budget``
    generated programs must be bit-identical between a fresh compile and
    a persistent-code-cache load (turbo x every scheme, untraced; the
    warm cell must be a real cache hit), and the
    cache's validate-or-recompile guard must *detect* deliberately stale
    and booby-trapped cached modules (``check_codecache_selftest``).
-7. **Memory mutation self-test** — every seeded one-line
+8. **Memory mutation self-test** — every seeded one-line
    ``MemorySystem`` bug in :data:`repro.qa.mutants.MEMORY_MUTANTS` must
    be *caught* by the independent-model state machine
    (``tests/test_mem_stateful.MemModelMachine``) within that module's
@@ -57,7 +64,12 @@ from pathlib import Path
 from repro.qa.corpus import default_corpus_dir, iter_cases
 from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import GeneratorConfig, generate_spec
-from repro.qa.mutants import mutant_oracle_setup
+from repro.qa.mutants import (
+    TRACE_MUTANT_ENGINE,
+    mutant_oracle_setup,
+    trace_mutant_oracle_setup,
+    traced_bulk_config,
+)
 from repro.qa.oracle import (
     batch_failure,
     check_codecache_selftest,
@@ -165,6 +177,56 @@ def check_mutation_selftest(seed: int, max_blocks: int) -> bool:
     print(
         f"OK: mutant caught ({finding.failure.summary()}) and shrunk to "
         f"{finding.shrunk_blocks} block(s)"
+    )
+    return True
+
+
+#: Generated programs the trace-arm mutant gets to show itself in: a
+#: program exposes it only when a fused loop consumes a prefetched line
+#: that an earlier miss already drained into the L1.
+TRACE_MUTANT_BUDGET = 12
+
+
+def check_trace_mutant(seed: int) -> bool:
+    clean = run_fuzz(
+        budget=TRACE_MUTANT_BUDGET,
+        seed=seed,
+        oracle_config=traced_bulk_config(),
+        shrink=False,
+        model_cases=0,
+    )
+    if not clean.ok:
+        print(
+            "FAIL: turbo failed the traced bulk-stepping matrix\n"
+            f"{clean.summary()}"
+        )
+        return False
+    config, runners = trace_mutant_oracle_setup()
+    stats = run_fuzz(
+        budget=TRACE_MUTANT_BUDGET,
+        seed=seed,
+        oracle_config=config,
+        runners=runners,
+        shrink=False,
+        model_cases=0,
+        max_findings=1,
+    )
+    caught = [
+        finding
+        for finding in stats.findings
+        if finding.failure.engine == TRACE_MUTANT_ENGINE
+    ]
+    if not caught:
+        print(
+            "FAIL: the late trace-arm mutant passed the traced oracle "
+            f"on {TRACE_MUTANT_BUDGET} program(s) (traced bulk stepping "
+            "is unchecked)"
+        )
+        return False
+    print(
+        f"OK: {clean.programs} program(s) bit-identical traced on turbo's "
+        f"steppers; trace-arm mutant caught "
+        f"({caught[0].failure.summary()})"
     )
     return True
 
@@ -342,6 +404,7 @@ def main() -> int:
     ok = check_clean_fuzz(args.budget, args.seed, args.model_cases) and ok
     ok = check_corpus_replay() and ok
     ok = check_mutation_selftest(args.seed, args.max_mutant_blocks) and ok
+    ok = check_trace_mutant(args.seed) and ok
     ok = check_batch_axis(args.batch_budget, args.seed) and ok
     ok = check_codecache_axis(args.codecache_budget, args.seed) and ok
     ok = check_memory_mutants() and ok

@@ -26,6 +26,13 @@ scope must cost at most the given fraction over the bare execution
 (default gate in CI: 0.05 = 5%), and the results must stay
 byte-identical — telemetry observes, never perturbs.
 
+With ``--max-trace-overhead`` it additionally runs the lifecycle-
+tracing overhead probe (``benchmarks/bench_obs.py measure``): a traced
+A&J-injected ``micro-tiny`` run may cost at most the given fraction
+over the untraced run in the same process (CI gate: 1.0, i.e. traced
+at most 2x untraced), and its simulated cycles must be identical —
+tracing observes, never perturbs.
+
 With ``--min-batch-speedup`` it additionally runs the batched-sweep
 probe (``benchmarks/bench_sweep.py measure_sweep``): an 8-cell A&J
 distance sweep executed in one :func:`repro.machine.batch.run_batch`
@@ -53,6 +60,7 @@ cached-load results are bit-identical with fresh compiles.
 Usage:
     python scripts/ci_perf_check.py [--scale tiny] [--min-speedup 1.2]
         [--min-turbo-speedup 1.0] [--max-telemetry-overhead 0.05]
+        [--max-trace-overhead 1.0]
         [--min-batch-speedup 3.0] [--min-batchturbo-speedup 1.1]
         [--min-codecache-speedup 3.0]
 """
@@ -157,6 +165,14 @@ def main() -> int:
         type=int,
         default=3,
         help="suite repeats for the telemetry probe (median; default 3)",
+    )
+    parser.add_argument(
+        "--max-trace-overhead",
+        type=float,
+        default=None,
+        help="also gate lifecycle-tracing overhead: max allowed traced/"
+        "untraced wall-clock excess on micro-tiny as a fraction (e.g. "
+        "1.0); omitted, the probe is skipped",
     )
     parser.add_argument(
         "--min-batch-speedup",
@@ -269,6 +285,35 @@ def main() -> int:
                 f"FAIL: telemetry overhead "
                 f"{probe['telemetry_overhead'] * 100:.1f}% exceeds the "
                 f"{args.max_telemetry_overhead * 100:.1f}% ceiling",
+                file=sys.stderr,
+            )
+            return 1
+
+    if args.max_trace_overhead is not None:
+        sys.path.insert(
+            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
+        )
+        from bench_obs import measure
+
+        probe = measure()
+        print(
+            f"trace probe: {probe['workload']} "
+            f"untraced={probe['disabled_s']:.3f}s "
+            f"traced={probe['enabled_s']:.3f}s "
+            f"overhead={probe['enabled_overhead'] * 100:.0f}% "
+            f"(ceiling {args.max_trace_overhead * 100:.0f}%)"
+        )
+        if not probe["cycles_identical"]:
+            print(
+                "FAIL: simulated cycles differ with tracing on vs off",
+                file=sys.stderr,
+            )
+            return 1
+        if probe["enabled_overhead"] > args.max_trace_overhead:
+            print(
+                f"FAIL: tracing overhead "
+                f"{probe['enabled_overhead'] * 100:.0f}% exceeds the "
+                f"{args.max_trace_overhead * 100:.0f}% ceiling",
                 file=sys.stderr,
             )
             return 1

@@ -18,8 +18,9 @@ Relationship to the engines:
   counters, LBR contents and PEBS sample sets — asserted across the
   whole workload registry by the differential tests.
 * ``turbo`` (``repro.machine.superblock``) runs every block it does not
-  fuse into a superblock through these chains, and every block of a
-  traced run.  Compiling them is just closure allocation (no ``exec``),
+  fuse into a superblock through these chains, and every block where a
+  superblock's entry guard declines.  Compiling them is just closure
+  allocation (no ``exec``),
   so cold-start cost stays negligible for modules with many functions.
 
 Cost folding: runs of constant-cost ALU instructions accumulate a

@@ -23,14 +23,13 @@ from typing import Optional, Sequence
 
 from repro.ir.nodes import IRError, Module
 from repro.machine import codecache
-from repro.machine.blockengine import compile_blocks
 from repro.machine.config import MachineConfig, normalize_engine
 from repro.machine.context import ExecutionContext
 from repro.machine.interpreter import run_function
 from repro.machine.lbr import LastBranchRecord, NullLBR
 from repro.machine.pmu import Counters, PerfStat
 from repro.machine.sampler import ProfileSampler
-from repro.machine.superblock import TurboCompiledFunction, compile_turbo
+from repro.machine.superblock import compile_turbo
 from repro.mem.address import AddressSpace
 from repro.mem.hierarchy import MemorySystem
 
@@ -94,17 +93,22 @@ class Machine:
             period or self.config.lbr_sample_period,
             first_at=first_at,
         )
-        if self.trace is not None:
-            from repro.obs.trace import BranchTap
-
-            self.lbr = BranchTap(lbr, self.trace)
-        else:
-            self.lbr = lbr
+        self.lbr = self._tap(lbr)
         return self.sampler
 
     def disable_profiling(self) -> None:
-        self.lbr = NullLBR()
+        """Turn the sampling hardware off; an armed trace keeps its
+        branch stream."""
+        self.lbr = self._tap(NullLBR())
         self.sampler = None
+
+    def _tap(self, lbr):
+        """``lbr``, mirrored into the armed trace's branch ring if any."""
+        if self.trace is None:
+            return lbr
+        from repro.obs.trace import BranchTap
+
+        return BranchTap(lbr, self.trace)
 
     # ------------------------------------------------------------------
     def enable_tracing(self, capacity: Optional[int] = None):
@@ -159,23 +163,12 @@ class Machine:
         )
 
     def _compile(self, name: str):
-        """Fetch (or build) turbo's compiled form of ``name``.
-
-        Traced runs never enter a superblock stepper, so a function
-        first compiled while tracing is armed gets its block chains
-        only; the first compile after ``disable_tracing()`` fuses it.
-        """
+        """Fetch (or build) turbo's compiled form of ``name``."""
         compiled = self._compiled.get(name)
-        traced = self.trace is not None
-        stale = not (traced or getattr(compiled, "fused", True))
-        if compiled is None or stale:
+        if compiled is None:
             started = time.perf_counter()
             function = self.module.function(name)
-            if traced:
-                compiled = TurboCompiledFunction(
-                    compile_blocks(function, self.config), None
-                )
-            elif self._code_cache is not None:
+            if self._code_cache is not None:
                 compiled = self._code_cache.load_or_compile(
                     function, self.config
                 )

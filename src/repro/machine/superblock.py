@@ -26,7 +26,7 @@ per-iteration cost is unbounded and CALL is an observation point).
 **Steady-state bulk stepping.**  A fused iteration still has to honour
 every *observation point* the reference interpreter honours: the
 per-block-boundary PEBS/LBR sample check (``cycle >= next_sample``),
-the instruction-budget check, trace arming, and side exits.  Instead of
+the instruction-budget check, and side exits.  Instead of
 checking per block, the generated stepper computes the distance to the
 next observation point and guards once per back edge::
 
@@ -52,13 +52,7 @@ dispatch loop falls back to the inherited per-block path, so the
 sample fires at exactly the block boundary the reference engine fires
 it at.  Inner loops keep their own standalone superblocks registered
 at their headers, so a run resumed mid-nest after a sample re-enters
-bulk stepping at the inner loop.  While lifecycle tracing is armed the
-stepper is bypassed entirely (``ctx.mem.trace is not None``): traced
-runs take exactly the per-block code paths the observability
-guarantees were established on (the inlined L1-hit arms carry no trace
-hooks).  For the same reason the Machine compiles a function
-without superblocks while tracing is armed, and fuses it on its first
-untraced compile.
+bulk stepping at the inner loop.
 
 Side exits write the locals back to the register file, apply the
 partial (path-prefix) counter constants for the interrupted iteration,
@@ -70,10 +64,17 @@ accumulators and control falls through to the outer loop's next block
 without leaving the generated function.
 
 Two code variants are generated per superblock: a *profiled* one
-(LBR pushes per taken branch, PEBS latency checks per load) used when a
-sampler is armed, and a *plain* one that omits both — with the sampler
-off the LBR is a NullLBR and the PEBS threshold is NEVER, so the calls
-are semantic no-ops the plain variant simply does not pay for.
+(LBR pushes per taken branch, PEBS latency checks per load, and the
+trace's first-use hook in the inlined L1-hit arms) used when a sampler
+or lifecycle tracing is armed, and a *plain* one that omits all three —
+with both off the LBR is a NullLBR, the PEBS threshold is NEVER and
+``mem.trace`` is None, so the calls are semantic no-ops the plain
+variant simply does not pay for.  A traced run therefore bulk-steps
+like any other: its taken branches reach the trace's branch ring
+through the ``lbr_push`` calls (``ctx.lbr`` is a ``BranchTap``), every
+other lifecycle event fires inside ``mem.load``/``store``/``prefetch``
+on the L1-miss path, and the L1-hit arm reports the consumption of a
+prefetched line exactly where ``MemorySystem._use`` would.
 """
 
 from __future__ import annotations
@@ -339,6 +340,22 @@ class _SuperblockCodegen:
         self.emit(f"_set = L1S[_line & {self.l1_mask}]")
         self.emit("_f = _set.pop(_line, None)")
 
+    def _emit_l1_use(self, profiled: bool) -> None:
+        """The L1-hit arm's first demand touch of a prefetched line
+        (``MemorySystem._use``): pop the unused table and count the
+        useful prefetch; the profiled variant also reports a software
+        prefetch's first use to an armed trace."""
+        self.emit("    if UN:")
+        self.emit("        _sw = UN.pop(_line, None)")
+        self.emit("        if _sw is not None:")
+        self.emit("            if _sw:")
+        self.emit("                C.sw_prefetch_useful += 1")
+        if profiled:
+            self.emit("                if TR is not None:")
+            self.emit("                    TR.on_use(_line, cycle, False)")
+        self.emit("            else:")
+        self.emit("                C.hw_prefetch_useful += 1")
+
     def _emit_functional(
         self, assign: str, fallback: str, store_value
     ) -> None:
@@ -493,6 +510,7 @@ class _SuperblockCodegen:
         ("L1S", "mem._l1_sets"),
         ("C", "mem.counters"),
         ("UN", "mem._unused"),
+        ("TR", "mem.trace"),
         ("sp_find", "mem.space._find"),
         ("lbr_push", "st.lbr_push"),
         ("record_load", "st.record_load"),
@@ -532,7 +550,7 @@ class _SuperblockCodegen:
         used = set(
             re.findall(
                 r"\b(?:mem_load|mem_store|mem_prefetch|sp_load|sp_store"
-                r"|L1S|C|UN|sp_find|lbr_push|record_load|pebs_threshold)\b",
+                r"|L1S|C|UN|TR|sp_find|lbr_push|record_load|pebs_threshold)\b",
                 "\n".join(body),
             )
         )
@@ -672,13 +690,7 @@ class _SuperblockCodegen:
                 self.emit("else:")
                 self.emit("    _set[_line] = _f")
                 self.emit("    C.l1_hits += 1")
-                self.emit("    if UN:")
-                self.emit("        _sw = UN.pop(_line, None)")
-                self.emit("        if _sw is not None:")
-                self.emit("            if _sw:")
-                self.emit("                C.sw_prefetch_useful += 1")
-                self.emit("            else:")
-                self.emit("                C.hw_prefetch_useful += 1")
+                self._emit_l1_use(profiled)
                 self.emit(f"    _l = {self.l1_lat}")
                 if profiled and self.l1_lat >= self.pebs_threshold:
                     self.emit(f"    record_load({inst.pc}, {self.l1_lat})")
@@ -696,13 +708,7 @@ class _SuperblockCodegen:
                 self.emit(f"    cycle += mem_store(_a, cycle, {inst.pc})")
                 self.emit("else:")
                 self.emit("    _set[_line] = _f")
-                self.emit("    if UN:")
-                self.emit("        _sw = UN.pop(_line, None)")
-                self.emit("        if _sw is not None:")
-                self.emit("            if _sw:")
-                self.emit("                C.sw_prefetch_useful += 1")
-                self.emit("            else:")
-                self.emit("                C.hw_prefetch_useful += 1")
+                self._emit_l1_use(profiled)
                 self.emit("    cycle += 1")
                 value = self.operand(inst.args[1])
                 self._emit_functional("", f"sp_store(_a, {value})", value)
@@ -915,12 +921,12 @@ class TurboCompiledFunction(BlockCompiledFunction):
     which runs iterations in bulk until an observation-point guard
     trips — or declines outright (``-1``: sample imminent) so the
     per-block path can honour the observation at the exact reference
-    boundary.  Tracing armed disables bulk stepping for the run.
-    ``superblocks=None`` builds the unfused form (``fused`` False).
+    boundary.  A run with a sampler or a trace armed takes the profiled
+    steppers.
     """
 
     def __init__(
-        self, base: BlockCompiledFunction, superblocks: Optional[tuple]
+        self, base: BlockCompiledFunction, superblocks: tuple
     ) -> None:
         super().__init__(
             base.function,
@@ -932,9 +938,8 @@ class TurboCompiledFunction(BlockCompiledFunction):
             block_index=base.block_index,
             block_start_pc=base.block_start_pc,
         )
-        self.fused = superblocks is not None
-        # Per-block-index, None when unfused.
-        self._superblocks = superblocks or (None,) * len(base._blocks)
+        # Per-block-index, None where no loop header is fused.
+        self._superblocks = superblocks
         # Cumulative run-profiling tallies (telemetry's engine.run span
         # reads these; they live on the compiled function, never in the
         # PMU counters, so traced==untraced bit-identity is untouched).
@@ -962,11 +967,6 @@ class TurboCompiledFunction(BlockCompiledFunction):
         return stats
 
     def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
-        if ctx.mem.trace is not None or not self.fused:
-            # Trace armed -> observation points are everywhere; bulk
-            # stepping is disabled for the whole run: the per-block
-            # path runs as is.
-            return super().__call__(ctx, args)
         function = self.function
         if len(args) != len(function.params):
             raise IRError(
@@ -998,7 +998,10 @@ class TurboCompiledFunction(BlockCompiledFunction):
             st.next_sample = NEVER
             st.take = None
             st.pebs_threshold = NEVER
-            st.record_load = None
+            # A traced run takes the profiled steppers with no sampler:
+            # their static L1-hit record (threshold <= L1 latency at
+            # compile time) must record nothing.
+            st.record_load = _record_nothing
         max_instructions = config.max_instructions
         st.max_instructions = max_instructions
         st.cycle = int(counters.cycles)
@@ -1022,7 +1025,7 @@ class TurboCompiledFunction(BlockCompiledFunction):
         superblocks = list(self._superblocks)
         sb_calls = [0] * len(superblocks)
         sb_iters = [0] * len(superblocks)
-        profiled = sampler is not None
+        profiled = sampler is not None or mem.trace is not None
         declined = 0
         bi = self._entry
         try:
@@ -1072,6 +1075,10 @@ class TurboCompiledFunction(BlockCompiledFunction):
                 for original, current in zip(self._superblocks, superblocks)
                 if original is not None and current is None
             )
+
+
+def _record_nothing(pc: int, latency: int) -> None:
+    pass
 
 
 def fuse(

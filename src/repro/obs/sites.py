@@ -24,13 +24,6 @@ MARGIN_BUCKETS: tuple[int, ...] = (
     -4096, -1024, -256, -64, 0, 64, 256, 1024, 4096, 16384,
 )
 
-_DROP_FIELDS = {
-    "mshr": "dropped_mshr",
-    "unmapped": "dropped_unmapped",
-    "redundant": "redundant",
-}
-
-
 def _bucket_labels() -> list[str]:
     labels = []
     previous = None
@@ -84,12 +77,6 @@ class SiteStats:
                 self.margin_max = margin
         self.margin_sum += margin
         self.margin_hist[bisect_left(MARGIN_BUCKETS, margin)] += 1
-
-    def record_drop(self, reason: str) -> None:
-        field_name = _DROP_FIELDS.get(reason)
-        if field_name is None:
-            raise ValueError(f"unknown drop reason {reason!r}")
-        setattr(self, field_name, getattr(self, field_name) + 1)
 
 
 @dataclass

@@ -4,9 +4,14 @@
 is enabled (``Machine.enable_tracing``).  Design constraints:
 
 * **Near-zero cost when off.**  The hierarchy guards every hook behind a
-  single ``if self.trace is not None`` on paths that already miss the L1,
-  so tracing-off runs pay one attribute load per slow-path event and
-  nothing on the L1-hit fast path.
+  single ``if self.trace is not None`` on paths that already miss the L1
+  or consume a prefetched line, so tracing-off runs pay one attribute
+  load per such event and nothing on a plain L1 hit.  Turbo's profiled
+  superblocks carry the same guard in their inlined L1-hit arms, so a
+  traced run bulk-steps like an untraced one.
+* **Cheap when on.**  The hot hooks do one dict lookup per table
+  (:meth:`PrefetchTrace.on_drop`), and a :class:`BranchTap` over a
+  ``NullLBR`` binds ``push`` straight to the branch ring's ``append``.
 * **Bounded memory.**  Raw event streams (lifecycle spans, demand-miss
   stalls, taken branches) live in fixed-capacity ring buffers
   (``collections.deque(maxlen=...)``); a long run overwrites the oldest
@@ -39,6 +44,7 @@ from __future__ import annotations
 from collections import deque
 from typing import NamedTuple, Optional
 
+from repro.machine.lbr import NullLBR
 from repro.obs.sites import SiteStats
 
 #: Default ring capacity: enough for small-scale runs, bounded for full.
@@ -144,10 +150,23 @@ class PrefetchTrace:
         (address outside any segment) or ``"redundant"`` (line already
         cached or in flight).
         """
-        label = self._label(pc)
-        stats = self._stats(label)
+        # The hottest hook (a redundant drop per prefetch of a cached
+        # line): one label and one stats lookup, then the counter.
+        label = self.sites.get(pc)
+        if label is None:
+            label = self._label(pc)
+        stats = self.stats.get(label)
+        if stats is None:
+            stats = self._stats(label)
         stats.issued += 1
-        stats.record_drop(reason)
+        if reason == "redundant":
+            stats.redundant += 1
+        elif reason == "mshr":
+            stats.dropped_mshr += 1
+        elif reason == "unmapped":
+            stats.dropped_unmapped += 1
+        else:
+            raise ValueError(f"unknown drop reason {reason!r}")
         self.last_cycle = cycle
         self.spans.append(
             PrefetchSpan(label, line, cycle, cycle, cycle, reason, None)
@@ -229,18 +248,32 @@ class BranchTap:
     Installed by ``Machine.enable_tracing`` so the timeline can
     reconstruct loop iterations (latch-to-latch spans) even when LBR
     profiling is off; forwards to the wrapped LBR so profiling and
-    tracing compose.
+    tracing compose.  ``push`` is bound per (inner, trace) pair: over a
+    :class:`~repro.machine.lbr.NullLBR` it *is* the ring's ``append``,
+    so an unprofiled traced run pays no wrapper call per branch.
     """
 
-    __slots__ = ("inner", "trace", "depth")
+    __slots__ = ("inner", "_trace", "depth", "push")
 
     def __init__(self, inner, trace: PrefetchTrace) -> None:
         self.inner = inner
-        self.trace = trace
         self.depth = getattr(inner, "depth", 0)
+        self.trace = trace
 
-    def push(self, entry: tuple) -> None:
-        self.trace.branches.append(entry)
+    @property
+    def trace(self) -> PrefetchTrace:
+        return self._trace
+
+    @trace.setter
+    def trace(self, trace: PrefetchTrace) -> None:
+        self._trace = trace
+        if isinstance(self.inner, NullLBR):
+            self.push = trace.branches.append
+        else:
+            self.push = self._forward
+
+    def _forward(self, entry: tuple) -> None:
+        self._trace.branches.append(entry)
         self.inner.push(entry)
 
     def snapshot(self) -> tuple:

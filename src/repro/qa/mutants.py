@@ -68,7 +68,7 @@ def offbyone_runner(config: OracleConfig):
 
     The mutated block chains are reached through turbo exactly as in
     production: every block a superblock does not fuse (a RET never
-    is), and every block of a traced run."""
+    is)."""
     mutant = offbyone_blockengine()
 
     def make(module, space) -> Machine:
@@ -99,27 +99,61 @@ _TURBO_MUTATION = '        self.emit(f"_rt += {rt} + 1")\n'
 TURBO_MUTANT_ENGINE = "turbo-offbyone"
 
 
-def offbyone_superblock() -> types.ModuleType:
-    """A scratch copy of :mod:`repro.machine.superblock` with a seeded
-    off-by-one in the back-edge retired-count accumulation."""
+#: Trace-arm target for the turbo tier: the profiled stepper's inlined
+#: L1-hit report of a software prefetch's first use.  Stamping it one
+#: L1 latency late shifts every timely margin of a bulk-stepped loop
+#: while values, counters and every untraced stream stay clean — only
+#: a traced differential that compares lifecycle spans can see it.
+_TRACE_USE_NEEDLE = (
+    '            self.emit("                    TR.on_use(_line, cycle, False)")\n'
+)
+_TRACE_USE_MUTATION = (
+    '            self.emit(f"                    TR.on_use(_line, cycle + {self.l1_lat}, False)")\n'
+)
+
+#: The name the trace-arm mutant engine appears under in the oracle
+#: matrix.
+TRACE_MUTANT_ENGINE = "turbo-trace-late"
+
+#: Sample period of the traced bulk-stepping matrix: far enough apart
+#: that the profiled steppers clear their entry guard (at the oracle's
+#: default 251-cycle period a loop with a load never bulk-steps).
+TRACED_BULK_PERIOD = 1 << 16
+
+
+def _superblock_mutant(needle: str, mutation: str, tag: str):
+    """A scratch copy of :mod:`repro.machine.superblock` with the
+    one-line ``needle`` -> ``mutation`` defect."""
     source = inspect.getsource(superblock)
-    if _TURBO_NEEDLE not in source:
+    if source.count(needle) != 1:
         raise RuntimeError(
-            "mutation anchor not found in superblock source; "
-            "update repro.qa.mutants after refactoring the back-edge "
-            "accumulation"
+            f"mutation anchor for {tag!r} not found exactly once in the "
+            "superblock source; update repro.qa.mutants after refactoring"
         )
-    mutated = source.replace(_TURBO_NEEDLE, _TURBO_MUTATION, 1)
-    module = types.ModuleType("repro.machine._qa_offbyone_superblock")
-    module.__file__ = "<qa-mutant:superblock>"
-    exec(compile(mutated, "<qa-mutant:superblock>", "exec"), module.__dict__)
+    mutated = source.replace(needle, mutation, 1)
+    module = types.ModuleType(f"repro.machine._qa_{tag}_superblock")
+    module.__file__ = f"<qa-mutant:superblock:{tag}>"
+    exec(compile(mutated, module.__file__, "exec"), module.__dict__)
     return module
 
 
-def turbo_offbyone_runner(config: OracleConfig):
-    """Machine factory for the turbo off-by-one mutant (pass to the
-    oracle as ``runners={TURBO_MUTANT_ENGINE: turbo_offbyone_runner(config)}``)."""
-    mutant = offbyone_superblock()
+def offbyone_superblock() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.superblock` with a seeded
+    off-by-one in the back-edge retired-count accumulation."""
+    return _superblock_mutant(_TURBO_NEEDLE, _TURBO_MUTATION, "offbyone")
+
+
+def trace_late_superblock() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.superblock` whose inlined
+    L1-hit arms report a prefetch's first use one L1 latency late."""
+    return _superblock_mutant(
+        _TRACE_USE_NEEDLE, _TRACE_USE_MUTATION, "trace_late"
+    )
+
+
+def _superblock_runner(mutant: types.ModuleType, config: OracleConfig):
+    """Machine factory: a turbo Machine whose compiled forms all come
+    from the mutated superblock compiler."""
 
     def make(module, space) -> Machine:
         machine = Machine(
@@ -137,8 +171,8 @@ def turbo_offbyone_runner(config: OracleConfig):
 def turbo_mutant_oracle_setup(base: OracleConfig = None):
     """The (config, runners) pair for a turbo-mutant differential run:
     the reference interpreter vs the broken bulk stepper, untraced
-    'none' scheme only (tracing armed would bypass bulk stepping and
-    hide the defect)."""
+    'none' scheme only — the minimal matrix that still catches the
+    bug."""
     base = base or OracleConfig()
     from dataclasses import replace
 
@@ -148,7 +182,42 @@ def turbo_mutant_oracle_setup(base: OracleConfig = None):
         schemes=("none",),
         traced_modes=(False,),
     )
-    return config, {TURBO_MUTANT_ENGINE: turbo_offbyone_runner(config)}
+    return config, {
+        TURBO_MUTANT_ENGINE: _superblock_runner(offbyone_superblock(), config)
+    }
+
+
+def traced_bulk_config(base: OracleConfig = None) -> OracleConfig:
+    """Reference vs turbo, traced, A&J-injected, with samples far
+    enough apart that turbo's profiled steppers run under the trace —
+    the matrix the trace-arm mutant must fail and turbo must pass."""
+    base = base or OracleConfig()
+    from dataclasses import replace
+
+    return replace(
+        base,
+        engines=("reference", "turbo"),
+        schemes=("aj",),
+        traced_modes=(True,),
+        sample_period=TRACED_BULK_PERIOD,
+    )
+
+
+def trace_mutant_oracle_setup(base: OracleConfig = None):
+    """The (config, runners) pair for the trace-arm mutant: the
+    reference interpreter vs turbo over the late-stamping superblock
+    compiler, on :func:`traced_bulk_config`'s traced matrix."""
+    from dataclasses import replace
+
+    config = replace(
+        traced_bulk_config(base),
+        engines=("reference", TRACE_MUTANT_ENGINE),
+    )
+    return config, {
+        TRACE_MUTANT_ENGINE: _superblock_runner(
+            trace_late_superblock(), config
+        )
+    }
 
 
 def mutant_oracle_setup(base: OracleConfig = None):

@@ -8,13 +8,15 @@ One spec is checked as ``schemes x engines x tracing``:
   analysis, injection pass, strict re-verification);
 * **engines** — both canonical engines (turbo / reference) plus any
   caller-supplied scratch runners (see :mod:`repro.qa.mutants`).
-  Traced turbo cells run turbo's per-block chains (a traced compile
-  builds no superblocks); untraced cells add the fused steppers;
+  Traced and untraced turbo cells share one compile; whether a fused
+  loop bulk-steps depends on its bound and the sample period, never
+  on tracing;
 * **tracing** — lifecycle tracing off and on.
 
 Every observation must be **bit-identical** across engines (return
 value, the full PMU counter vector, LBR snapshots, PEBS records,
-prefetch-lifecycle spans, demand events, per-site aggregates) and
+prefetch-lifecycle spans, demand events, the traced branch ring,
+per-site aggregates) and
 identical between traced and untraced runs of the same engine
 (tracing is observability, never behaviour).  On top of the
 differential check, each observation must satisfy the metamorphic
@@ -229,6 +231,7 @@ def _observe(
             "counts": trace.event_counts(),
             "spans": list(trace.spans),
             "demand": list(trace.demand),
+            "branches": list(trace.branches),
             "stats": {
                 label: asdict(stats)
                 for label, stats in sorted(trace.stats.items())
@@ -383,8 +386,8 @@ def _check_differential(
         reference_trace = observations[traced_keys[0]]["trace"]
         for key in traced_keys[1:]:
             trace = observations[key]["trace"]
-            for field in ("counts", "spans", "demand", "stats",
-                          "site_reports"):
+            for field in ("counts", "spans", "demand", "branches",
+                          "stats", "site_reports"):
                 if trace[field] != reference_trace[field]:
                     raise OracleFailure(
                         "differential-trace",
@@ -591,8 +594,9 @@ def check_codecache(
     bit-identical on every compared stream (value, PMU counters, LBR,
     PEBS); the warm cell must be an actual cache hit with
     zero invalidations — a warm run that silently recompiled would hide
-    a broken loader forever.  Traced runs are not cells: a traced
-    compile builds no superblocks and never consults the cache.
+    a broken loader forever.  Traced runs are not cells: tracing is
+    not part of the key, so a traced run loads the very compiled form
+    these cells check.
 
     Returns ``{"cells": n, "hits": n}``; raises :class:`OracleFailure`
     on the first violation.

@@ -93,20 +93,19 @@ def test_codegen_change_misses_and_recompiles(cache_dir, monkeypatch):
     assert cache.store.stats()["by_kind"] == {"codecache": 2}
 
 
-def test_traced_compile_is_not_cached(cache_dir):
-    # A traced compile builds block chains only: nothing to serialize.
-    module, space, expected = build_indirect_loop()
-    machine = Machine(module, space, config=_config(cache_dir))
-    machine.enable_tracing()
-    assert machine.run("main").value == expected
+def test_traced_compile_is_cached(cache_dir):
+    # Tracing is not part of the key: a traced compile fuses through
+    # the cache like any other, and a second traced machine loads it.
+    config = _config(cache_dir)
     cache = codecache.resolve(cache_dir)
-    assert cache.hits == cache.misses == 0
-    assert cache.store.stats()["entries"] == 0
-    # The first untraced compile fuses through the cache.
-    machine.disable_tracing()
-    machine.run("main")
-    assert cache.misses == 1
-    assert cache.store.stats()["entries"] == 1
+    for hits in (0, 1):
+        module, space, expected = build_indirect_loop()
+        machine = Machine(module, space, config=config)
+        machine.enable_tracing()
+        assert machine.run("main").value == expected
+        assert (cache.misses, cache.hits) == (1, hits)
+        assert cache.store.stats()["entries"] == 1
+        assert machine.engine_run_stats()["bulk_iters"] > 0
 
 
 def test_code_cache_is_nonsemantic_for_fingerprints(cache_dir):

@@ -115,6 +115,25 @@ class TestMachine:
         machine.run("main")
         assert len(sampler.samples) == count
 
+    def test_disable_profiling_keeps_trace_branch_stream(self):
+        # Turning the sampler off while a trace is armed must leave the
+        # trace tapped into the branch stream (the timeline rebuilds
+        # loop iterations from it).
+        def branches(toggle_profiling: bool) -> list:
+            module, space, _ = build_indirect_loop()
+            machine = Machine(module, space)
+            trace = machine.enable_tracing()
+            if toggle_profiling:
+                machine.enable_profiling()
+                machine.disable_profiling()
+                assert machine.sampler is None
+            machine.run("main")
+            return list(trace.branches)
+
+        toggled = branches(toggle_profiling=True)
+        assert toggled
+        assert toggled == branches(toggle_profiling=False)
+
     def test_run_result_perf_properties(self, sum_loop):
         module, space, _ = sum_loop
         result = Machine(module, space).run("main")

@@ -114,3 +114,18 @@ class TestBranchTap:
         assert len(inner) == 1
         assert len(trace.branches) == 1
         assert tap.snapshot() == inner.snapshot()
+
+    def test_push_follows_trace_reassignment(self):
+        # Over a NullLBR push is the ring's own append; either way a
+        # reassigned trace receives every later branch.
+        from repro.machine.lbr import LastBranchRecord, NullLBR
+
+        for inner in (NullLBR(), LastBranchRecord(4)):
+            first, second = make_trace(), make_trace()
+            tap = BranchTap(inner, first)
+            tap.push((20, 10, 5))
+            tap.trace = second
+            tap.push((21, 10, 6))
+            assert list(first.branches) == [(20, 10, 5)]
+            assert list(second.branches) == [(21, 10, 6)]
+            assert len(tap) == (0 if isinstance(inner, NullLBR) else 2)

@@ -10,10 +10,14 @@ from repro.qa.fuzz import run_fuzz
 from repro.qa.generate import generate_spec
 from repro.qa.mutants import (
     MUTANT_ENGINE,
+    TRACE_MUTANT_ENGINE,
     TURBO_MUTANT_ENGINE,
     mutant_oracle_setup,
     offbyone_blockengine,
     offbyone_superblock,
+    trace_late_superblock,
+    trace_mutant_oracle_setup,
+    traced_bulk_config,
     turbo_mutant_oracle_setup,
 )
 from repro.qa.oracle import (
@@ -76,6 +80,28 @@ def test_turbo_mutant_engine_is_caught():
     assert failure.engine == TURBO_MUTANT_ENGINE
     assert failure.check == "differential"
     assert "instructions" in failure.detail
+
+
+def test_trace_mutant_engine_is_caught():
+    # The late first-use stamp in the profiled stepper's L1-hit arm
+    # moves only trace timestamps; catching it proves traced runs
+    # bulk-step and that the traced differential compares the spans.
+    spec = generate_spec(20260811)
+    assert oracle_failure(spec, traced_bulk_config()) is None
+    config, runners = trace_mutant_oracle_setup()
+    failure = oracle_failure(spec, config, runners)
+    assert failure is not None
+    assert failure.engine == TRACE_MUTANT_ENGINE
+    assert failure.check == "differential-trace"
+    assert "trace.spans" in failure.detail
+
+
+def test_trace_mutant_module_is_scratch_copy():
+    import repro.machine.superblock as real
+
+    mutant = trace_late_superblock()
+    assert mutant is not real
+    assert mutant.compile_turbo is not real.compile_turbo
 
 
 def test_turbo_mutant_module_is_scratch_copy():

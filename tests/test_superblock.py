@@ -1,5 +1,5 @@
 """Turbo-tier tests: nest-fusion shape, steady-state bulk stepping,
-observation-point guards, the tracing bypass, and the adaptive
+observation-point guards, traced bulk stepping, and the adaptive
 short-trip fallback.
 
 Cross-engine bit-identicality over random programs lives in the
@@ -14,6 +14,7 @@ import pytest
 
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
+from repro.machine.blockengine import compile_blocks
 from repro.machine.config import MachineConfig
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.machine import Machine
@@ -23,10 +24,16 @@ from repro.machine.superblock import (
     compile_turbo,
 )
 from repro.mem.address import AddressSpace
+from repro.obs.sites import site_reports
+from repro.passes.ainsworth_jones import (
+    AinsworthJonesConfig,
+    AinsworthJonesPass,
+)
 from tests.conftest import (
     build_indirect_loop,
     build_nested_indirect,
     build_sum_loop,
+    tiny_memory,
 )
 
 
@@ -102,6 +109,22 @@ def build_diamond_outer_short_inner(
         expected += 1 if k < outer // 2 else 2
         expected += 3 * inner
     return module, space, expected
+
+
+def _trace_observation(result, trace) -> dict:
+    return {
+        "value": result.value,
+        "counters": result.counters.as_dict(),
+        "counts": trace.event_counts(),
+        "spans": list(trace.spans),
+        "demand": list(trace.demand),
+        "branches": list(trace.branches),
+        "open": trace.open_records(),
+        "site_reports": {
+            label: report.to_dict()
+            for label, report in site_reports(trace).items()
+        },
+    }
 
 
 class TestFusionShape:
@@ -202,44 +225,51 @@ class TestDispatchContract:
             with pytest.raises(ExecutionLimitExceeded):
                 machine.run("main")
 
-    def test_tracing_bypasses_bulk_stepping(self):
-        module, space, expected = build_indirect_loop()
-        machine = Machine(module, space, engine="turbo")
-        tcf = machine._compile("main")  # untraced compile: fused
-        machine.enable_tracing()
-        calls = 0
-        sb = tcf.superblocks()[0]
-        original = sb.run_plain
-
-        def counting(R, st, fp):
-            nonlocal calls
-            calls += 1
-            return original(R, st, fp)
-
-        sb.run_plain = counting
-        try:
+    def test_traced_run_bulk_steps_like_its_substrate(self):
+        # A traced run enters the profiled stepper and stays
+        # bit-identical — value, counters and every trace stream — to
+        # the same traced run on turbo's per-block substrate.
+        def traced(substrate: bool):
+            module, space, expected = build_indirect_loop()
+            AinsworthJonesPass(AinsworthJonesConfig(distance=4)).run(module)
+            machine = Machine(
+                module,
+                space,
+                config=MachineConfig(memory=tiny_memory()),
+                engine="turbo",
+            )
+            if substrate:
+                machine._compiled["main"] = compile_blocks(
+                    module.function("main"), machine.config
+                )
+            trace = machine.enable_tracing()
             result = machine.run("main")
-        finally:
-            sb.run_plain = original
-        assert result.value == expected
-        assert calls == 0, "bulk stepping must be disabled while tracing"
+            assert result.value == expected
+            return machine, _trace_observation(result, trace)
 
-    def test_traced_compile_builds_no_superblocks(self):
+        machine, fused = traced(substrate=False)
+        _, blocks = traced(substrate=True)
+        assert machine.engine_run_stats()["bulk_iters"] > 0
+        assert fused["counts"]["spans"] > 0
+        assert fused["counts"]["branches"] > 0
+        assert fused == blocks
+
+    def test_traced_and_untraced_runs_share_one_compile(self):
         module, space, expected = build_indirect_loop()
         machine = Machine(module, space, engine="turbo")
         machine.enable_tracing()
         traced = machine.run("main")
         tcf = machine._compiled["main"]
-        assert not tcf.fused
-        assert tcf.superblocks() == []
-        assert machine.engine_run_stats()["bulk_iters"] == 0
+        assert tcf.superblocks()
+        traced_iters = machine.engine_run_stats()["bulk_iters"]
+        assert traced_iters > 0
 
-        # The first untraced compile fuses; the same machine bulk-steps.
         machine.disable_tracing()
         untraced = machine.run("main")
-        assert machine._compiled["main"].fused
-        assert machine._compiled["main"].superblocks()
-        assert machine.engine_run_stats()["bulk_iters"] > 0
+        assert machine._compiled["main"] is tcf
+        stats = machine.engine_run_stats()
+        assert stats["compiled_functions"] == 1
+        assert stats["bulk_iters"] > traced_iters
 
         # Bit-identical to a fresh untraced machine doing the same runs.
         fresh_module, fresh_space, _ = build_indirect_loop()
@@ -248,6 +278,24 @@ class TestDispatchContract:
             twin = fresh.run("main")
             assert result.value == twin.value == expected
             assert result.counters.as_dict() == twin.counters.as_dict()
+
+    def test_traced_unprofiled_low_pebs_threshold_matches_reference(self):
+        # A PEBS threshold at or below the L1 latency makes the profiled
+        # stepper record every L1 hit; a traced run takes that stepper
+        # with no sampler armed and must record nothing.
+        config = MachineConfig(memory=tiny_memory(), pebs_latency_threshold=1)
+        assert config.pebs_latency_threshold <= config.memory.l1.latency
+        observations = {}
+        for engine in ("reference", "turbo"):
+            module, space, expected = build_indirect_loop()
+            AinsworthJonesPass(AinsworthJonesConfig(distance=4)).run(module)
+            machine = Machine(module, space, config=config, engine=engine)
+            trace = machine.enable_tracing()
+            result = machine.run("main")
+            assert result.value == expected
+            observations[engine] = _trace_observation(result, trace)
+        assert machine.engine_run_stats()["bulk_iters"] > 0
+        assert observations["turbo"] == observations["reference"]
 
     def test_bulk_stepping_engages_without_tracing(self):
         module, space, expected = build_indirect_loop()
