@@ -5,7 +5,9 @@ Eight gates, all with fixed seeds so the job is deterministic:
 
 1. **Import sanity** — every core runtime module imports cleanly on
    its own, so a broken lazy import cannot hide behind whichever
-   engine the fuzz run happens to exercise first.
+   engine the fuzz run happens to exercise first; and the entry points
+   (``repro.api``, ``repro.cli``, ``repro.serve``) import in a process
+   where ``import scipy`` fails, since scipy is a test-only dependency.
 2. **Clean fuzz** — ``--budget`` generated programs (plus an Eq-1/Eq-2
    analytic-model sweep) must pass the full differential oracle: turbo
    and reference x tracing on/off x every prefetch scheme,
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -97,6 +100,13 @@ SANITY_MODULES = (
     "repro.service.api",
 )
 
+# scipy is only the test oracle for the in-tree CWT peak finder; no
+# entry point may import it.
+BLOCKED_SCIPY_IMPORT = (
+    "import sys; sys.modules['scipy'] = None; "
+    "import repro.api, repro.cli, repro.serve"
+)
+
 
 def check_import_sanity() -> bool:
     failures = []
@@ -105,11 +115,23 @@ def check_import_sanity() -> bool:
             importlib.import_module(name)
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             failures.append(f"{name}: {type(exc).__name__}: {exc}")
+    blocked = subprocess.run(
+        [sys.executable, "-c", BLOCKED_SCIPY_IMPORT],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    if blocked.returncode != 0:
+        last = (blocked.stderr.strip().splitlines() or ["no output"])[-1]
+        failures.append(f"entry points with scipy blocked: {last}")
     if failures:
         for line in failures:
             print(f"FAIL: import {line}")
         return False
-    print(f"OK: {len(SANITY_MODULES)} core module(s) import standalone")
+    print(
+        f"OK: {len(SANITY_MODULES)} core module(s) import standalone; "
+        "entry points import with scipy blocked"
+    )
     return True
 
 

@@ -4,9 +4,11 @@ Given LBR snapshots, two instances of the same loop-latch branch PC
 delimit one loop iteration; subtracting their cycle counts yields one
 iteration-latency measurement.  The latency distribution of a loop whose
 body contains a delinquent load is multi-modal (Fig 4): one peak per
-memory-hierarchy level serving the load.  Peaks are detected with
-``scipy.signal.find_peaks_cwt`` exactly as the paper does (§3.4), with a
-robust clustering fallback for degenerate histograms.
+memory-hierarchy level serving the load.  Peaks are detected with the
+continuous-wavelet-transform peak finder the paper names (§3.4):
+:mod:`repro.core.cwt` is an exact port of ``scipy.signal.find_peaks_cwt``,
+so the peaks no longer depend on the installed scipy version.  A robust
+clustering fallback covers degenerate histograms.
 
 Degraded inputs (the documented fallback contract, relied on by
 ``repro.core.distance.optimal_distance`` and checked by the QA model
@@ -25,12 +27,12 @@ degrade to "don't prefetch", never to an exception.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.signal import find_peaks_cwt
+
+from repro.core.cwt import find_peaks_cwt
 
 #: Histogram bin width in cycles.
 BIN_WIDTH = 4
@@ -132,9 +134,9 @@ def analyze_latency_distribution(
     """Histogram the latencies and locate the per-level peaks.
 
     Primary detector: continuous-wavelet-transform peak finding
-    (``scipy.signal.find_peaks_cwt``), as named in paper §3.4.  Fallback:
-    greedy mode clustering, used when CWT finds nothing (tiny or spiky
-    histograms).
+    (:func:`repro.core.cwt.find_peaks_cwt`), as named in paper §3.4.
+    Fallback: greedy mode clustering, used when CWT finds nothing (tiny
+    or spiky histograms).
     """
     distribution = LatencyDistribution(list(latencies), bin_width=bin_width)
     if not latencies:
@@ -146,19 +148,8 @@ def analyze_latency_distribution(
 
     peak_bins: list[int] = []
     if bins >= 8:
-        widths = np.arange(1, max(3, min(12, bins // 4)))
-        try:
-            # scipy's CWT peak finder divides by zero on flat noise
-            # estimates; suppress that locally instead of mutating the
-            # process-global warning filters at import time.
-            with warnings.catch_warnings(), np.errstate(
-                divide="ignore", invalid="ignore"
-            ):
-                warnings.filterwarnings("ignore", category=RuntimeWarning)
-                raw = find_peaks_cwt(histogram.astype(float), widths)
-        except Exception:  # pragma: no cover - scipy internals
-            raw = []
-        peak_bins = [int(b) for b in raw if 0 <= int(b) < bins]
+        raw = find_peaks_cwt(histogram.astype(float), cwt_widths(bins))
+        peak_bins = [int(b) for b in raw]
     # CWT can miss narrow modes on spiky histograms; union with local
     # maxima of the smoothed histogram (the mass filter below prunes any
     # noise maxima this adds).
@@ -187,6 +178,12 @@ def analyze_latency_distribution(
     distribution.peaks = [b * bin_width + bin_width // 2 for b, _ in keep]
     distribution.peak_masses = [m for _, m in keep]
     return distribution
+
+
+def cwt_widths(bins: int) -> np.ndarray:
+    """The wavelet widths searched on a ``bins``-bin histogram: 1 up to
+    a quarter of the bins, capped at 11 (at least 1 and 2)."""
+    return np.arange(1, max(3, min(12, bins // 4)))
 
 
 def _cluster_modes(histogram: np.ndarray) -> list[int]:

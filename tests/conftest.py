@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-import warnings
 
 import pytest
 
@@ -13,8 +12,6 @@ from repro.machine.config import MachineConfig
 from repro.machine.machine import Machine
 from repro.mem.address import AddressSpace
 from repro.mem.config import CacheConfig, MemoryConfig
-
-warnings.filterwarnings("ignore", category=RuntimeWarning, module="scipy")
 
 
 # ----------------------------------------------------------------------

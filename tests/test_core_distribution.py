@@ -1,6 +1,9 @@
 """Tests for LBR latency-distribution analysis (paper §3.1-3.2, Fig 4)."""
 
 import random
+import warnings
+
+import pytest
 
 from repro.core.distance import MIN_DISTANCE, MIN_SAMPLES, optimal_distance
 from repro.core.distribution import (
@@ -175,3 +178,22 @@ class TestDegradedFallback:
             distribution = analyze_latency_distribution(latencies)
             estimate = optimal_distance(distribution)
             assert estimate.distance >= MIN_DISTANCE
+
+
+def zero_noise_latencies() -> list[int]:
+    """Two close modes far from everything else: the noise window around
+    each ridge is mostly exact zeros, so the CWT noise floor is 0 and
+    the SNR infinite."""
+    return [4 * 1333] * 100 + [4 * 1353] * 100 + [4 * 3999]
+
+
+@pytest.mark.parametrize(
+    "latencies",
+    [list(range(400)), [400] * 50, zero_noise_latencies()],
+    ids=["flat", "single-spike", "zero-noise"],
+)
+def test_degenerate_histograms_raise_no_warning(latencies):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        distribution = analyze_latency_distribution(latencies)
+    assert distribution.peaks
