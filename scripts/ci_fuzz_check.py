@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """CI guard for the generative differential-fuzzing subsystem.
 
-Eight gates, all with fixed seeds so the job is deterministic:
+Nine gates, all with fixed seeds so the job is deterministic:
 
 1. **Import sanity** — every core runtime module imports cleanly on
    its own, so a broken lazy import cannot hide behind whichever
@@ -45,6 +45,14 @@ Eight gates, all with fixed seeds so the job is deterministic:
    (``tests/test_mem_stateful.MemModelMachine``) within that module's
    fixed ``MUTANT_EXAMPLES`` derandomized examples, proving the model
    that carries memory correctness can see a timing or counter bug.
+9. **Batched mutation self-test** — a scratch copy of the batched
+   superblock compiler (``repro.qa.mutants.batchturbo_offbyone``: the
+   back edge folds one retired instruction too many) installed over
+   the real ``compile_batch_turbo`` must fail the batch axis with
+   ``batch-differential`` on at least one of ``BATCH_MUTANT_SEEDS``,
+   while the real tier passes the same seeds — proving the batch axis
+   checks what the batched steppers compute, not just how fast they
+   run.
 
 ``--stateful`` additionally drives the memory-model and
 store/code-cache hypothesis state machines (``tests/test_mem_stateful``,
@@ -367,6 +375,56 @@ def check_memory_mutants() -> bool:
     return True
 
 
+#: Generated programs (qa seeds) the batched mutant gets to show itself
+#: in: a program exposes it only when a fused loop aligns across the
+#: batch cells and runs at least one full iteration in bulk.
+BATCH_MUTANT_SEEDS = range(12)
+
+
+def check_batch_mutant() -> bool:
+    """The batched back-edge off-by-one must fail the batch axis on at
+    least one of ``BATCH_MUTANT_SEEDS``; the real tier must pass them.
+    Runs with the code cache off, so no mutated stepper is stored."""
+    import os
+
+    from repro.machine import batchturbo
+    from repro.qa.mutants import batchturbo_offbyone
+
+    specs = [generate_spec(seed) for seed in BATCH_MUTANT_SEEDS]
+    saved_env = os.environ.pop("REPRO_CODE_CACHE", None)
+    real = batchturbo.compile_batch_turbo
+    try:
+        clean = [batch_failure(spec) for spec in specs]
+        batchturbo.compile_batch_turbo = (
+            batchturbo_offbyone().compile_batch_turbo
+        )
+        mutated = [batch_failure(spec) for spec in specs]
+    finally:
+        batchturbo.compile_batch_turbo = real
+        if saved_env is not None:
+            os.environ["REPRO_CODE_CACHE"] = saved_env
+    failed = [f for f in clean if f is not None]
+    if failed:
+        print(f"FAIL: batch axis on the real tier: {failed[0].summary()}")
+        return False
+    caught = [
+        failure
+        for failure in mutated
+        if failure is not None and failure.check == "batch-differential"
+    ]
+    if not caught:
+        print(
+            "FAIL: the batched off-by-one mutant passed the batch axis on "
+            f"{len(specs)} program(s) (batched results are unchecked)"
+        )
+        return False
+    print(
+        f"OK: batched mutant caught on {len(caught)} of {len(specs)} "
+        f"program(s) ({caught[0].summary()}); the real tier passes all"
+    )
+    return True
+
+
 def check_stateful_machines(examples: int, seed: int) -> bool:
     """Nightly-depth run of the hypothesis state machines: the memory
     model against its independent reimplementation and the
@@ -430,6 +488,7 @@ def main() -> int:
     ok = check_batch_axis(args.batch_budget, args.seed) and ok
     ok = check_codecache_axis(args.codecache_budget, args.seed) and ok
     ok = check_memory_mutants() and ok
+    ok = check_batch_mutant() and ok
     if args.stateful:
         ok = check_stateful_machines(args.stateful_examples, args.seed) and ok
     return 0 if ok else 1

@@ -15,9 +15,11 @@ surface, then asserts:
   1.0: turbo below its block chains means the superblock stepper has
   stopped paying for itself).  The substrate probe runs every suite
   workload's baseline and A&J programs on turbo Machines whose
-  compiled forms are ``compile_blocks`` output installed directly —
-  the way ``repro.qa.mutants`` installs its mutants — against fresh
-  turbo Machines, interleaved, best of three, bit-identity asserted.
+  compiled forms are turbo with nothing fused (a
+  ``TurboCompiledFunction`` over ``compile_blocks`` output with an
+  empty superblock table, installed the way ``repro.qa.mutants``
+  installs its mutants) against fresh turbo Machines, interleaved,
+  best of three, bit-identity asserted.
 
 With ``--max-telemetry-overhead`` it additionally runs the
 service-telemetry overhead probe (``benchmarks/bench_obs.py
@@ -76,6 +78,7 @@ import repro.api as api
 from repro.experiments.runner import scale_suite
 from repro.machine.blockengine import compile_blocks
 from repro.machine.machine import Machine
+from repro.machine.superblock import TurboCompiledFunction
 from repro.passes.ainsworth_jones import AinsworthJonesPass
 from repro.service.api import TuningService
 from repro.workloads.registry import make_workload
@@ -92,7 +95,8 @@ def timed_suite(engine: str, scale: str) -> tuple[api.SuiteResult, float]:
 
 def _substrate_run(name: str, scale: str, inject: bool, blocks_only: bool):
     """One fresh turbo run of ``name`` (A&J-injected when ``inject``);
-    ``blocks_only`` installs the per-block substrate (no superblocks).
+    ``blocks_only`` installs the per-block substrate (turbo's dispatch
+    loop with an empty superblock table).
     Returns ``(seconds, signature)``; compile time is included."""
     workload = make_workload(name, scale)
     module, space = workload.build()
@@ -102,7 +106,10 @@ def _substrate_run(name: str, scale: str, inject: bool, blocks_only: bool):
     start = time.perf_counter()
     if blocks_only:
         for fname, function in module.functions.items():
-            machine._compiled[fname] = compile_blocks(function, machine.config)
+            machine._compiled[fname] = TurboCompiledFunction(
+                compile_blocks(function, machine.config),
+                (None,) * len(function.blocks),
+            )
     result = machine.run(workload.entry)
     seconds = time.perf_counter() - start
     return seconds, (result.value, result.counters.as_dict())

@@ -38,9 +38,14 @@ where ``bound_retired`` is the whole nest's worst-case per-iteration
 retire count — the min-of-cells bound is the single shared bound, since
 cost fields are verified uniform across cells at batch construction.
 When the guard trips the stepper flushes and returns at an exact block
-header; the entry guard declines with ``-1`` instead, and per-block
-dispatch replays to the exact boundary — the budget raise fires at the
-identical block the sequential engines fire it at.
+header; the entry guard declines with ``-1`` instead, and the same
+dispatch loop runs the header's per-block chain exactly as it runs a
+block whose superblock slot is empty, replaying to the exact boundary
+— the budget raise fires at the identical block the sequential engines
+fire it at.  The static nest shape (folded constants, bounds, touched
+registers) is :class:`repro.machine.fusion.NestShape`, shared with
+turbo; this tier subtracts its divergent registers from the shared
+read/written sets.
 """
 
 from __future__ import annotations
@@ -63,10 +68,12 @@ from repro.machine.config import MachineConfig
 from repro.machine.fusion import (
     FusionUnit as _Unit,
     GuardedUnit as _Guarded,
+    NestShape,
     discover_units,
     flatten_unit as _flatten,
+    functional_lines,
+    phi_copy_lines,
     unit_depth as _depth,
-    unit_entry as _entry,
 )
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.superblock import _ADAPT_MIN_ITERS, _ADAPT_WARMUP
@@ -295,18 +302,16 @@ class _BatchSuperblockCodegen:
             int(cfg.memory.llc.latency + cfg.memory.dram_latency)
             for cfg in cell_configs
         )
-        self._totals: dict = {}
-        nest = self._nest_totals(unit)
-        self.nest_totals = nest
-        self.bound_cycles = max(
-            1, nest[4] + nest[1] * self.mem_lat + nest[2]
+        shape = self.shape = NestShape(self.function, config, unit)
+        self.bound_cycles = shape.bound_cycles(self.mem_lat)
+        self.bound_retired = shape.bound_retired
+        # Only the uniform registers live in locals: divergent ones
+        # never leave the per-cell overlays.
+        touched = (shape.read | shape.written) - self.divergent
+        self.preload = sorted(self.slots[r] for r in touched)
+        self.writeback = sorted(
+            self.slots[r] for r in shape.written - self.divergent
         )
-        self.bound_retired = max(1, nest[0])
-        self.has_ld = nest[1] > 0
-        self.has_sr = nest[2] > 0
-        self.has_tk = nest[3] > 0 or self._any_taken_exit(unit)
-        self.preload, self.writeback = self._collect_slots()
-        self._memory_sites = nest[1] + nest[2]
         self.ptables: list = []
         self._pt: dict = {}
         # Emission state.
@@ -315,154 +320,6 @@ class _BatchSuperblockCodegen:
         self._site = 0
         self._carry = False
         self._pending = 0
-
-    # -- static analysis ----------------------------------------------
-    def _unit_totals(self, unit: _Unit) -> tuple:
-        cached = self._totals.get(id(unit))
-        if cached is None:
-            cached = self._scan_totals(unit)
-            self._totals[id(unit)] = cached
-        return cached
-
-    def _scan_totals(self, unit: _Unit) -> tuple:
-        """One iteration's folded constants over the unit's own blocks.
-
-        Scanning cell 0 is exact for every cell: alignment pins the
-        opcode/shape at every position, and divergent WORK amounts are
-        banned, so the retire/cost tallies are uniform.
-        """
-        cfg = self.config
-        rt = nloads = nstores = tk = const_cycles = 0
-        for name in unit.own_blocks:
-            cont = unit.cont[name]
-            for inst in self.function.block(name).non_phi_instructions():
-                op = inst.op
-                if op is Opcode.LOAD:
-                    rt += 1
-                    nloads += 1
-                elif op is Opcode.STORE:
-                    rt += 1
-                    nstores += 1
-                elif op is Opcode.PREFETCH:
-                    rt += 1
-                    const_cycles += cfg.prefetch_cost
-                elif op is Opcode.WORK:
-                    rt += inst.args[0]
-                    const_cycles += inst.args[0] * cfg.work_cpi
-                elif op in (Opcode.JMP, Opcode.BR):
-                    rt += 1
-                    const_cycles += cfg.branch_cost
-                    if op is Opcode.JMP or inst.targets[0] == cont:
-                        tk += 1
-                else:
-                    rt += 1
-                    const_cycles += cfg.alu_cost
-        return rt, nloads, nstores, tk, const_cycles
-
-    def _nest_totals(self, unit: _Unit) -> tuple:
-        rt, nloads, nstores, tk, const_cycles = self._unit_totals(unit)
-        for node in unit.path:
-            if isinstance(node, (_Unit, _Guarded)):
-                inner = node.unit if isinstance(node, _Guarded) else node
-                crt, cld, csr, ctk, ccc = self._nest_totals(inner)
-                rt += crt
-                nloads += cld
-                nstores += csr
-                tk += ctk
-                const_cycles += ccc
-        return rt, nloads, nstores, tk, const_cycles
-
-    def _any_taken_exit(self, unit: _Unit) -> bool:
-        for name in unit.own_blocks:
-            terminator = self.function.block(name).terminator
-            if (
-                terminator.op is Opcode.BR
-                and terminator.targets[0] != unit.cont[name]
-            ):
-                return True
-        return any(
-            self._any_taken_exit(
-                node.unit if isinstance(node, _Guarded) else node
-            )
-            for node in unit.path
-            if isinstance(node, (_Unit, _Guarded))
-        )
-
-    def _tail_srcs(self, node) -> tuple:
-        if isinstance(node, _Unit):
-            return node.exit_blocks
-        if isinstance(node, _Guarded):
-            return node.unit.exit_blocks
-        return (node,)
-
-    def _internal_edges(self, unit: _Unit) -> list:
-        edges: list = []
-        path = unit.path
-        for i, node in enumerate(path):
-            tgt = _entry(path[i + 1]) if i + 1 < len(path) else unit.header
-            for src in self._tail_srcs(node):
-                edges.append((src, tgt))
-            if isinstance(node, _Unit):
-                edges.extend(self._internal_edges(node))
-            elif isinstance(node, _Guarded):
-                # The guard's skip arm rejoins at the same continuation
-                # the inner unit exits to.
-                edges.append((node.guard, tgt))
-                edges.extend(self._internal_edges(node.unit))
-        return edges
-
-    def _exit_edges(self) -> list:
-        unit = self.unit
-        edges: list = []
-        for name in unit.own_blocks:
-            terminator = self.function.block(name).terminator
-            if terminator.op is Opcode.BR:
-                for target in terminator.targets:
-                    if (
-                        target != unit.cont[name]
-                        and target != unit.guards.get(name)
-                    ):
-                        edges.append((name, target))
-        return edges
-
-    def _collect_slots(self) -> tuple:
-        """(preload, writeback) for the *uniform* registers only —
-        divergent registers never leave the per-cell overlays."""
-        read: set = set()
-        written: set = set()
-        divergent = self.divergent
-
-        def note_read(value) -> None:
-            if type(value) is not int and value not in divergent:
-                read.add(value)
-
-        def visit(unit: _Unit) -> None:
-            for name in unit.own_blocks:
-                for inst in self.function.block(name).non_phi_instructions():
-                    if inst.dst is not None and inst.dst not in divergent:
-                        written.add(inst.dst)
-                    for arg in inst.args:
-                        note_read(arg)
-            for node in unit.path:
-                if isinstance(node, _Unit):
-                    visit(node)
-                elif isinstance(node, _Guarded):
-                    visit(node.unit)
-
-        visit(self.unit)
-        for src, tgt in self._internal_edges(self.unit):
-            for phi in self.function.block(tgt).phis():
-                if phi.dst not in divergent:
-                    written.add(phi.dst)
-                note_read(dict(phi.incomings)[src])
-        for src, tgt in self._exit_edges():
-            for phi in self.function.block(tgt).phis():
-                incoming = dict(phi.incomings)
-                if src in incoming:
-                    note_read(incoming[src])
-        preload = sorted(self.slots[r] for r in read | written)
-        writeback = sorted(self.slots[r] for r in written)
-        return preload, writeback
 
     # -- operand specs -------------------------------------------------
     def _pt_index(self, values: tuple) -> int:
@@ -563,24 +420,11 @@ class _BatchSuperblockCodegen:
     def _emit_functional(
         self, assign: str, fallback: str, store_value
     ) -> None:
-        site = self._site
+        for line in functional_lines(
+            self._site, assign, fallback, store_value
+        ):
+            self.emit(line)
         self._site += 1
-        s = f"_s{site}"
-        self.emit(f"if {s} is None or not ({s}.base <= _a < {s}.end):")
-        self.emit(f"    {s} = sp_find(_a)")
-        self.emit(f"if {s} is None:")
-        self.emit(f"    {assign}{fallback}")
-        self.emit("else:")
-        self.emit(f"    _o = _a - {s}.base")
-        self.emit(f"    if _o & ({s}.elem_size - 1):")
-        self.emit(f"        {assign}{fallback}")
-        self.emit("    else:")
-        if store_value is None:
-            self.emit(f"        {assign}{s}.values[_o // {s}.elem_size]")
-        else:
-            self.emit(
-                f"        {s}.values[_o // {s}.elem_size] = {store_value}"
-            )
 
     # -- flush / exits -------------------------------------------------
     def _emit_materialize(self) -> None:
@@ -606,15 +450,15 @@ class _BatchSuperblockCodegen:
         self.emit(
             f"st.retired += _rt + {ert}" if ert else "st.retired += _rt"
         )
-        if self.has_ld:
+        if self.shape.has_ld:
             self.emit(
                 f"st.loads += _ld + {eld}" if eld else "st.loads += _ld"
             )
-        if self.has_sr:
+        if self.shape.has_sr:
             self.emit(
                 f"st.stores += _sr + {esr}" if esr else "st.stores += _sr"
             )
-        if self.has_tk:
+        if self.shape.has_tk:
             self.emit(
                 f"st.taken += _tk + {etk}" if etk else "st.taken += _tk"
             )
@@ -667,23 +511,8 @@ class _BatchSuperblockCodegen:
             else:
                 upairs.append((f"r{self.slots[dst]}", self.uexpr(spec)))
         self._emit_divergent_copies(dpairs)
-        if not upairs:
-            return
-        if len(upairs) == 1:
-            dst, expr = upairs[0]
-            if dst != expr:
-                self.emit(f"{dst} = {expr}")
-            return
-        dsts = {dst for dst, _ in upairs}
-        if all(expr not in dsts for dst, expr in upairs if expr != dst):
-            for dst, expr in upairs:
-                if dst != expr:
-                    self.emit(f"{dst} = {expr}")
-            return
-        for index, (_, expr) in enumerate(upairs):
-            self.emit(f"_p{index} = {expr}")
-        for index, (dst, _) in enumerate(upairs):
-            self.emit(f"{dst} = _p{index}")
+        for line in phi_copy_lines(upairs):
+            self.emit(line)
 
     def _emit_exit_copies(self, src: str, tgt: str) -> None:
         """Exit-edge PHI copies straight into R / the overlays (the
@@ -775,11 +604,11 @@ class _BatchSuperblockCodegen:
         for slot in self.preload:
             self.emit(f"r{slot} = R[{slot}]")
         self.emit("_rt = 0")
-        if self.has_ld:
+        if self.shape.has_ld:
             self.emit("_ld = 0")
-        if self.has_sr:
+        if self.shape.has_sr:
             self.emit("_sr = 0")
-        if self.has_tk:
+        if self.shape.has_tk:
             self.emit("_tk = 0")
         self._emit_unit(self.unit, (0, 0, 0, 0))
 
@@ -795,7 +624,7 @@ class _BatchSuperblockCodegen:
         for name, expr in self._BINDS:
             if name in used:
                 header.append(f"    {name} = {expr}")
-        for site in range(self._memory_sites):
+        for site in range(self.shape.memory_sites):
             header.append(f"    _s{site} = None")
         return "\n".join(header + body)
 
@@ -825,7 +654,7 @@ class _BatchSuperblockCodegen:
                     carried,
                     nxt if isinstance(nxt, _Guarded) else None,
                 )
-        rt, nloads, nstores, tk, _ = self._unit_totals(unit)
+        rt, nloads, nstores, tk, _ = self.shape.unit_totals(unit)
         self.emit(f"_rt += {rt}")
         if nloads:
             self.emit(f"_ld += {nloads}")
@@ -1213,8 +1042,9 @@ class BatchTurboCompiledFunction:
     Unfused blocks dispatch through their per-block chains; a fused
     header hands control to the generated stepper, which runs whole
     iterations for all cells until the budget guard trips (or declines
-    with ``-1``) — per-block dispatch then replays to the exact
-    boundary and re-enters bulk at the next fused header.
+    with ``-1``) — the same loop then runs the header's chain as for an
+    empty slot, replays to the exact boundary and re-enters bulk at the
+    next fused header.
     """
 
     def __init__(

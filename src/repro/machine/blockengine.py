@@ -23,6 +23,12 @@ Relationship to the engines:
   allocation (no ``exec``),
   so cold-start cost stays negligible for modules with many functions.
 
+This module has no dispatch loop of its own: a
+:class:`BlockCompiledFunction` only holds the chains and the
+compile-form metadata, and ``TurboCompiledFunction`` runs them.  With
+an empty superblock table (``fuse`` not applied) that is the plain
+per-block substrate the tests and CI compare turbo against.
+
 Cost folding: runs of constant-cost ALU instructions accumulate a
 pending cycle count that is materialized at the next *observer*
 (memory op, CALL, dynamic WORK, or terminator), and
@@ -38,14 +44,11 @@ Demand loads, stores and software prefetches call
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 from repro.ir.nodes import Function, IRError
 from repro.ir.opcodes import BINOP_EXPR, Opcode
 from repro.machine.config import MachineConfig
-from repro.machine.context import ExecutionContext
-from repro.machine.interpreter import ExecutionLimitExceeded
-from repro.machine.sampler import NEVER
 
 #: Sentinels stored in ``_Frame.next`` by terminator closures.
 _RETURNED = -1
@@ -649,7 +652,8 @@ class _BlockCompiler:
 
 
 class BlockCompiledFunction:
-    """An IR function compiled to per-block closure chains."""
+    """An IR function compiled to per-block closure chains (run by
+    :class:`repro.machine.superblock.TurboCompiledFunction`)."""
 
     def __init__(
         self,
@@ -685,73 +689,6 @@ class BlockCompiledFunction:
             "ops": sum(len(ops) for ops in self._blocks),
             "registers": self._register_count,
         }
-
-    def __call__(self, ctx: ExecutionContext, args: Sequence[int] = ()) -> int:
-        function = self.function
-        if len(args) != len(function.params):
-            raise IRError(
-                f"{function.name} expects {len(function.params)} args, "
-                f"got {len(args)}"
-            )
-        config = ctx.config
-        counters = ctx.counters
-        mem = ctx.mem
-        space = ctx.space
-        sampler = ctx.sampler
-
-        st = _Frame()
-        st.counters = counters
-        st.mem_load = mem.load
-        st.mem_store = mem.store
-        st.mem_prefetch = mem.prefetch
-        st.sp_load = space.load
-        st.sp_store = space.store
-        st.lbr_push = ctx.lbr.push
-        st.invoke = ctx.invoke
-        st.sampler = sampler
-        if sampler is not None:
-            st.next_sample = sampler.next_at
-            st.take = sampler.take
-            st.pebs_threshold = config.effective_pebs_threshold()
-            st.record_load = sampler.record_load
-        else:
-            st.next_sample = NEVER
-            st.take = None
-            st.pebs_threshold = NEVER
-            st.record_load = None
-        max_instructions = config.max_instructions
-        st.cycle = int(counters.cycles)
-        st.retired = 0
-        st.loads = 0
-        st.stores = 0
-        st.taken = 0
-        st.value = 0
-
-        R = [0] * self._register_count
-        for slot, value in enumerate(args):  # params occupy slots 0..n-1
-            R[slot] = int(value)
-
-        blocks = self._blocks
-        bi = self._entry
-        while True:
-            if st.cycle >= st.next_sample:
-                st.next_sample = st.take(st.cycle)
-            if st.retired > max_instructions:
-                raise ExecutionLimitExceeded(
-                    f"{function.name}: exceeded {max_instructions} instructions"
-                )
-            st.next = _FELL_THROUGH
-            for op in blocks[bi]:
-                op(R, st)
-            nxt = st.next
-            if nxt < 0:
-                if nxt == _RETURNED:
-                    return st.value
-                raise IRError(
-                    f"block {self._block_names[bi]} fell through "
-                    f"without terminator"
-                )
-            bi = nxt
 
 
 def compile_blocks(

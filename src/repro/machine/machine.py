@@ -213,26 +213,21 @@ class Machine:
 
     def engine_run_stats(self) -> dict:
         """Engine-phase profiling rollup for this machine's lifetime:
-        the compile-vs-execute wall split plus, on the turbo tier, the
-        superblock bulk-stepping/guard-bail tallies.  Read by the
+        the compile-vs-execute wall split plus, once anything was
+        compiled (every compiled form is a ``TurboCompiledFunction``),
+        the superblock bulk-stepping/guard-bail tallies.  Read by the
         telemetry layer at ``engine.run`` span close; pure observation
         (compiled-function attributes, never PMU counters)."""
         stats: dict = {
             "compiled_functions": len(self._compiled),
             "compile_seconds": round(self._compile_seconds, 6),
         }
-        bulk_calls = bulk_iters = declines = cleared = 0
-        turbo = False
-        for compiled in self._compiled.values():
-            if hasattr(compiled, "bulk_calls"):
-                turbo = True
-                bulk_calls += compiled.bulk_calls
-                bulk_iters += compiled.bulk_iters
-                declines += compiled.guard_declines
-                cleared += compiled.adaptive_cleared
-        if turbo:
-            stats["bulk_calls"] = bulk_calls
-            stats["bulk_iters"] = bulk_iters
-            stats["guard_declines"] = declines
-            stats["adaptive_cleared"] = cleared
+        compiled = self._compiled.values()
+        if compiled:
+            stats["bulk_calls"] = sum(c.bulk_calls for c in compiled)
+            stats["bulk_iters"] = sum(c.bulk_iters for c in compiled)
+            stats["guard_declines"] = sum(c.guard_declines for c in compiled)
+            stats["adaptive_cleared"] = sum(
+                c.adaptive_cleared for c in compiled
+            )
         return stats

@@ -47,12 +47,15 @@ instruction budget — the checks the reference engine would have run
 are all provably no-ops, and skipping them is bit-identical.  When a
 guard trips (a sample is imminent), the stepper flushes the folded
 counters and returns at an exact block-header boundary; the entry
-guard returns the ``-1`` no-progress sentinel instead, and the
-dispatch loop falls back to the inherited per-block path, so the
-sample fires at exactly the block boundary the reference engine fires
-it at.  Inner loops keep their own standalone superblocks registered
-at their headers, so a run resumed mid-nest after a sample re-enters
-bulk stepping at the inner loop.
+guard returns the ``-1`` no-progress sentinel instead, and the same
+dispatch loop runs the header's closure chain exactly as it runs a
+block whose superblock slot is empty, so the sample fires at exactly
+the block boundary the reference engine fires it at.  (With every slot
+empty, that loop *is* the per-block substrate: there is one sequential
+dispatch loop, :class:`TurboCompiledFunction`'s.)  Inner loops keep
+their own standalone superblocks registered at their headers, so a run
+resumed mid-nest after a sample re-enters bulk stepping at the inner
+loop.
 
 Side exits write the locals back to the register file, apply the
 partial (path-prefix) counter constants for the interrupted iteration,
@@ -95,13 +98,14 @@ from repro.machine.blockengine import (
 from repro.machine.config import MachineConfig
 from repro.machine.context import ExecutionContext
 from repro.machine.fusion import (
-    ALU_OPS as _ALU_OPS,
     FusionUnit as _Unit,
     GuardedUnit as _Guarded,
+    NestShape,
     discover_units,
     flatten_unit as _flatten,
+    functional_lines,
+    phi_copy_lines,
     unit_depth as _depth,
-    unit_entry as _entry,
 )
 from repro.machine.interpreter import ExecutionLimitExceeded
 from repro.machine.sampler import NEVER
@@ -115,9 +119,10 @@ _counter = itertools.count()
 _ADAPT_WARMUP = 64
 _ADAPT_MIN_ITERS = 2
 
-# Nest discovery and fusability live in repro.machine.fusion, shared
-# with the batched superblock tier (repro.machine.batchturbo) so the
-# two compilers can never disagree about what is fusable.
+# Nest discovery, fusability and the static nest shape live in
+# repro.machine.fusion, shared with the batched superblock tier
+# (repro.machine.batchturbo) so the two compilers can never disagree
+# about what is fusable or what a fused iteration costs.
 
 # ----------------------------------------------------------------------
 # Codegen
@@ -153,181 +158,18 @@ class _SuperblockCodegen:
         self.mem_lat = int(
             config.memory.llc.latency + config.memory.dram_latency
         )
-        self._totals: dict = {}  # id(unit) -> (rt, ld, sr, tk, cc)
-        nest = self._nest_totals(unit)
-        self.nest_totals = nest
+        shape = self.shape = NestShape(function, config, unit)
         # Worst-case cycles / retired between two consecutive guard
-        # evaluations: one iteration of every loop in the nest plus all
-        # straight-line segments (see the module docstring).
-        self.bound_cycles = max(1, nest[4] + nest[1] * self.mem_lat + nest[2])
-        self.bound_retired = max(1, nest[0])
-        self.has_ld = nest[1] > 0
-        self.has_sr = nest[2] > 0
-        self.has_tk = nest[3] > 0 or self._any_taken_exit(unit)
-        self.preload, self.writeback = self._collect_slots()
-        #: LOAD/STORE sites in the nest — each gets a functional
-        #: segment-cache local (_s0, _s1, ...) in the generated code.
-        self._memory_sites = nest[1] + nest[2]
+        # evaluations (see the module docstring).
+        self.bound_cycles = shape.bound_cycles(self.mem_lat)
+        self.bound_retired = shape.bound_retired
+        touched = shape.read | shape.written
+        self.preload = sorted(self.slots[r] for r in touched)
+        self.writeback = sorted(self.slots[r] for r in shape.written)
         # Emission state (reset per generate()).
         self.lines: list = []
         self.indent = 0
         self._site = 0
-
-    # -- static analysis ----------------------------------------------
-    def _unit_totals(self, unit: _Unit) -> tuple:
-        cached = self._totals.get(id(unit))
-        if cached is None:
-            cached = self._scan_totals(unit)
-            self._totals[id(unit)] = cached
-        return cached
-
-    def _scan_totals(self, unit: _Unit) -> tuple:
-        """One unit iteration's folded constants over its *own* blocks
-        (nested units accumulate themselves), mirroring the block
-        compiler's cost accounting exactly (every pending run is
-        materialized by the latch terminator, so the per-iteration
-        constant-cycle total is just the sum of all constant costs)."""
-        cfg = self.config
-        rt = nloads = nstores = tk = const_cycles = 0
-        for name in unit.own_blocks:
-            cont = unit.cont[name]
-            for inst in self.function.block(name).non_phi_instructions():
-                op = inst.op
-                if op is Opcode.LOAD:
-                    rt += 1
-                    nloads += 1
-                elif op is Opcode.STORE:
-                    rt += 1
-                    nstores += 1
-                elif op is Opcode.PREFETCH:
-                    rt += 1
-                    const_cycles += cfg.prefetch_cost
-                elif op is Opcode.WORK:
-                    rt += inst.args[0]
-                    const_cycles += inst.args[0] * cfg.work_cpi
-                elif op in (Opcode.JMP, Opcode.BR):
-                    rt += 1
-                    const_cycles += cfg.branch_cost
-                    if op is Opcode.JMP or inst.targets[0] == cont:
-                        tk += 1
-                elif op in _ALU_OPS:
-                    rt += 1
-                    const_cycles += cfg.alu_cost
-                else:  # pragma: no cover - guarded by _block_is_fusable
-                    raise IRError(f"unfusable opcode {op!r} on loop path")
-        return rt, nloads, nstores, tk, const_cycles
-
-    def _nest_totals(self, unit: _Unit) -> tuple:
-        rt, nloads, nstores, tk, const_cycles = self._unit_totals(unit)
-        for node in unit.path:
-            if isinstance(node, (_Unit, _Guarded)):
-                inner = node.unit if isinstance(node, _Guarded) else node
-                crt, cld, csr, ctk, ccc = self._nest_totals(inner)
-                rt += crt
-                nloads += cld
-                nstores += csr
-                tk += ctk
-                const_cycles += ccc
-        return rt, nloads, nstores, tk, const_cycles
-
-    def _any_taken_exit(self, unit: _Unit) -> bool:
-        """Whether any side exit anywhere in the nest is a BR's *taken*
-        (then) arm — those contribute to st.taken even when every
-        continuation edge is fall-through.  Guard blocks whose taken
-        arm enters the guarded inner unit report True the same way:
-        their taken count is adjusted dynamically."""
-        for name in unit.own_blocks:
-            terminator = self.function.block(name).terminator
-            if (
-                terminator.op is Opcode.BR
-                and terminator.targets[0] != unit.cont[name]
-            ):
-                return True
-        return any(
-            self._any_taken_exit(
-                node.unit if isinstance(node, _Guarded) else node
-            )
-            for node in unit.path
-            if isinstance(node, (_Unit, _Guarded))
-        )
-
-    def _tail_srcs(self, node) -> tuple:
-        """The block(s) a path node transfers control *from* when it
-        hands off to its in-path successor: the block itself, or — for
-        a nested (possibly guarded) unit — its side-exiting blocks (all
-        of which break to the unit's single continuation)."""
-        if isinstance(node, _Unit):
-            return node.exit_blocks
-        if isinstance(node, _Guarded):
-            return node.unit.exit_blocks
-        return (node,)
-
-    def _internal_edges(self, unit: _Unit) -> list:
-        edges: list = []
-        path = unit.path
-        for i, node in enumerate(path):
-            tgt = _entry(path[i + 1]) if i + 1 < len(path) else unit.header
-            for src in self._tail_srcs(node):
-                edges.append((src, tgt))
-            if isinstance(node, _Unit):
-                edges.extend(self._internal_edges(node))
-            elif isinstance(node, _Guarded):
-                # The guard's skip arm rejoins at the same continuation
-                # the inner unit exits to.
-                edges.append((node.guard, tgt))
-                edges.extend(self._internal_edges(node.unit))
-        return edges
-
-    def _exit_edges(self) -> list:
-        unit = self.unit
-        edges: list = []
-        for name in unit.own_blocks:
-            terminator = self.function.block(name).terminator
-            if terminator.op is Opcode.BR:
-                for target in terminator.targets:
-                    if (
-                        target != unit.cont[name]
-                        and target != unit.guards.get(name)
-                    ):
-                        edges.append((name, target))
-        return edges
-
-    def _collect_slots(self) -> tuple:
-        """(preload, writeback) slot lists: every register the fused
-        nest touches is preloaded into a local at entry; every register
-        it defines is written back on every way out."""
-        read: set = set()
-        written: set = set()
-
-        def visit(unit: _Unit) -> None:
-            for name in unit.own_blocks:
-                for inst in self.function.block(name).non_phi_instructions():
-                    if inst.dst is not None:
-                        written.add(inst.dst)
-                    for arg in inst.args:
-                        if type(arg) is not int:
-                            read.add(arg)
-            for node in unit.path:
-                if isinstance(node, _Unit):
-                    visit(node)
-                elif isinstance(node, _Guarded):
-                    visit(node.unit)
-
-        visit(self.unit)
-        for src, tgt in self._internal_edges(self.unit):
-            for phi in self.function.block(tgt).phis():
-                written.add(phi.dst)
-                value = dict(phi.incomings)[src]
-                if type(value) is not int:
-                    read.add(value)
-        for src, tgt in self._exit_edges():
-            for phi in self.function.block(tgt).phis():
-                incoming = dict(phi.incomings)
-                if src in incoming and type(incoming[src]) is not int:
-                    read.add(incoming[src])
-        preload = sorted(self.slots[r] for r in read | written)
-        writeback = sorted(self.slots[r] for r in written)
-        return preload, writeback
 
     # -- emission helpers ---------------------------------------------
     def emit(self, text: str) -> None:
@@ -359,32 +201,11 @@ class _SuperblockCodegen:
     def _emit_functional(
         self, assign: str, fallback: str, store_value
     ) -> None:
-        """Functional access through a per-callsite segment cache.
-
-        The cache holds the last Segment this site touched; a hit costs
-        a bounds check and a list index instead of two function calls.
-        Any irregular case — segment miss (unmapped) or misaligned
-        address — delegates to the AddressSpace method, which raises
-        the exact error the slow engines raise.
-        """
-        site = self._site
+        for line in functional_lines(
+            self._site, assign, fallback, store_value
+        ):
+            self.emit(line)
         self._site += 1
-        s = f"_s{site}"
-        self.emit(f"if {s} is None or not ({s}.base <= _a < {s}.end):")
-        self.emit(f"    {s} = sp_find(_a)")
-        self.emit(f"if {s} is None:")
-        self.emit(f"    {assign}{fallback}")
-        self.emit("else:")
-        self.emit(f"    _o = _a - {s}.base")
-        self.emit(f"    if _o & ({s}.elem_size - 1):")
-        self.emit(f"        {assign}{fallback}")
-        self.emit("    else:")
-        if store_value is None:
-            self.emit(f"        {assign}{s}.values[_o // {s}.elem_size]")
-        else:
-            self.emit(
-                f"        {s}.values[_o // {s}.elem_size] = {store_value}"
-            )
 
     def operand(self, value) -> str:
         if type(value) is int:
@@ -403,19 +224,7 @@ class _SuperblockCodegen:
             values.append(
                 (f"r{self.slots[phi.dst]}", self.operand(incoming[src]))
             )
-        if len(values) == 1:
-            dst, expr = values[0]
-            return [] if dst == expr else [f"{dst} = {expr}"]
-        # The copies are parallel; sequential direct assignments are
-        # only safe when no destination is read by a later copy.
-        # Sources are single registers or literals, so a membership
-        # check decides it — the temp scheme is the fallback.
-        dsts = {dst for dst, _ in values}
-        if all(expr not in dsts for dst, expr in values if expr != dst):
-            return [f"{dst} = {expr}" for dst, expr in values if dst != expr]
-        lines = [f"_p{i} = {expr}" for i, (_, expr) in enumerate(values)]
-        lines += [f"{dst} = _p{i}" for i, (dst, _) in enumerate(values)]
-        return lines
+        return phi_copy_lines(values)
 
     def _emit_flush(self, extra: tuple) -> None:
         """Write the folded counters and locals back to the frame and
@@ -424,15 +233,15 @@ class _SuperblockCodegen:
         ert, eld, esr, etk = extra
         self.emit("st.cycle = cycle")
         self.emit(f"st.retired += _rt + {ert}" if ert else "st.retired += _rt")
-        if self.has_ld:
+        if self.shape.has_ld:
             self.emit(
                 f"st.loads += _ld + {eld}" if eld else "st.loads += _ld"
             )
-        if self.has_sr:
+        if self.shape.has_sr:
             self.emit(
                 f"st.stores += _sr + {esr}" if esr else "st.stores += _sr"
             )
-        if self.has_tk:
+        if self.shape.has_tk:
             self.emit(
                 f"st.taken += _tk + {etk}" if etk else "st.taken += _tk"
             )
@@ -538,11 +347,11 @@ class _SuperblockCodegen:
         for slot in self.preload:
             self.emit(f"r{slot} = R[{slot}]")
         self.emit("_rt = 0")
-        if self.has_ld:
+        if self.shape.has_ld:
             self.emit("_ld = 0")
-        if self.has_sr:
+        if self.shape.has_sr:
             self.emit("_sr = 0")
-        if self.has_tk:
+        if self.shape.has_tk:
             self.emit("_tk = 0")
         self._emit_unit(self.unit, (0, 0, 0, 0), profiled)
 
@@ -558,7 +367,7 @@ class _SuperblockCodegen:
         for name, expr in self._BINDS:
             if name in used:
                 header.append(f"    {name} = {expr}")
-        for site in range(self._memory_sites):
+        for site in range(self.shape.memory_sites):
             header.append(f"    _s{site} = None")
         return "\n".join(header + body)
 
@@ -599,7 +408,7 @@ class _SuperblockCodegen:
         # accumulators, then guard the distance to the next
         # observation point (the mutant needle for repro.qa targets
         # this accumulation line — keep it on one line).
-        rt, nloads, nstores, tk, _ = self._unit_totals(unit)
+        rt, nloads, nstores, tk, _ = self.shape.unit_totals(unit)
         self.emit(f"_rt += {rt}")
         if nloads:
             self.emit(f"_ld += {nloads}")
@@ -920,9 +729,11 @@ class TurboCompiledFunction(BlockCompiledFunction):
     chains; a fused header hands control to the generated stepper,
     which runs iterations in bulk until an observation-point guard
     trips — or declines outright (``-1``: sample imminent) so the
-    per-block path can honour the observation at the exact reference
-    boundary.  A run with a sampler or a trace armed takes the profiled
-    steppers.
+    block's chain, run as for an empty slot, can honour the observation
+    at the exact reference boundary.  A run with a sampler or a trace
+    armed takes the profiled steppers.  With every slot ``None`` this
+    is the plain per-block substrate (``compile_blocks`` output with
+    nothing fused).
     """
 
     def __init__(

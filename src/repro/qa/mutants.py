@@ -15,7 +15,10 @@ whose compiled-form cache is pre-populated from the mutated compiler,
 so every other layer (memory, PMU, tracing, sampling) is the production
 code — exactly the situation a real engine regression would create.
 
-The memory mutants (:data:`MEMORY_MUTANTS`) are built the same way from
+The batched mutant (:func:`batchturbo_offbyone`) is installed over the
+real ``compile_batch_turbo`` instead, so the batch axis's own
+``BatchMachine`` builds run it.  The memory mutants
+(:data:`MEMORY_MUTANTS`) are built the same way from
 :mod:`repro.mem.hierarchy`; each yields a broken ``MemorySystem`` class
 for the independent-model state machine to catch.
 """
@@ -25,10 +28,32 @@ from __future__ import annotations
 import inspect
 import types
 
-from repro.machine import blockengine, superblock
+from repro.machine import batchturbo, blockengine, superblock
 from repro.machine.machine import Machine
 from repro.mem import hierarchy
 from repro.qa.oracle import OracleConfig
+
+
+def _scratch_copy(
+    module: types.ModuleType, needle: str, mutation: str, tag: str
+) -> types.ModuleType:
+    """A scratch copy of ``module`` with the one-line ``needle`` ->
+    ``mutation`` defect (the real module is never touched)."""
+    package, name = module.__name__.rsplit(".", 1)
+    source = inspect.getsource(module)
+    if source.count(needle) != 1:
+        raise RuntimeError(
+            f"mutation anchor for {tag!r} not found exactly once in the "
+            f"{name} source; update repro.qa.mutants after refactoring"
+        )
+    mutated = source.replace(needle, mutation, 1)
+    mutant = types.ModuleType(
+        f"{package}._qa_{tag.replace('-', '_')}_{name}"
+    )
+    mutant.__file__ = f"<qa-mutant:{name}:{tag}>"
+    exec(compile(mutated, mutant.__file__, "exec"), mutant.__dict__)
+    return mutant
+
 
 #: Off-by-one target: the block compiler's RET cost accounting.  Every
 #: program retires at least one RET, so any generated program exposes
@@ -43,23 +68,13 @@ _RET_MUTATION = (
 )
 
 #: The name the mutant engine appears under in the oracle matrix.
-MUTANT_ENGINE = "fast-offbyone"
+MUTANT_ENGINE = "blocks-offbyone"
 
 
 def offbyone_blockengine() -> types.ModuleType:
     """A scratch copy of :mod:`repro.machine.blockengine` with a seeded
     off-by-one in the RET cycle cost."""
-    source = inspect.getsource(blockengine)
-    if _RET_NEEDLE not in source:
-        raise RuntimeError(
-            "mutation anchor not found in blockengine source; "
-            "update repro.qa.mutants after refactoring the RET handling"
-        )
-    mutated = source.replace(_RET_NEEDLE, _RET_MUTATION, 1)
-    module = types.ModuleType("repro.machine._qa_offbyone_blockengine")
-    module.__file__ = "<qa-mutant:blockengine>"
-    exec(compile(mutated, "<qa-mutant:blockengine>", "exec"), module.__dict__)
-    return module
+    return _scratch_copy(blockengine, _RET_NEEDLE, _RET_MUTATION, "offbyone")
 
 
 def offbyone_runner(config: OracleConfig):
@@ -121,33 +136,34 @@ TRACE_MUTANT_ENGINE = "turbo-trace-late"
 TRACED_BULK_PERIOD = 1 << 16
 
 
-def _superblock_mutant(needle: str, mutation: str, tag: str):
-    """A scratch copy of :mod:`repro.machine.superblock` with the
-    one-line ``needle`` -> ``mutation`` defect."""
-    source = inspect.getsource(superblock)
-    if source.count(needle) != 1:
-        raise RuntimeError(
-            f"mutation anchor for {tag!r} not found exactly once in the "
-            "superblock source; update repro.qa.mutants after refactoring"
-        )
-    mutated = source.replace(needle, mutation, 1)
-    module = types.ModuleType(f"repro.machine._qa_{tag}_superblock")
-    module.__file__ = f"<qa-mutant:superblock:{tag}>"
-    exec(compile(mutated, module.__file__, "exec"), module.__dict__)
-    return module
-
-
 def offbyone_superblock() -> types.ModuleType:
     """A scratch copy of :mod:`repro.machine.superblock` with a seeded
     off-by-one in the back-edge retired-count accumulation."""
-    return _superblock_mutant(_TURBO_NEEDLE, _TURBO_MUTATION, "offbyone")
+    return _scratch_copy(
+        superblock, _TURBO_NEEDLE, _TURBO_MUTATION, "offbyone"
+    )
 
 
 def trace_late_superblock() -> types.ModuleType:
     """A scratch copy of :mod:`repro.machine.superblock` whose inlined
     L1-hit arms report a prefetch's first use one L1 latency late."""
-    return _superblock_mutant(
-        _TRACE_USE_NEEDLE, _TRACE_USE_MUTATION, "trace_late"
+    return _scratch_copy(
+        superblock, _TRACE_USE_NEEDLE, _TRACE_USE_MUTATION, "trace_late"
+    )
+
+
+def batchturbo_offbyone() -> types.ModuleType:
+    """A scratch copy of :mod:`repro.machine.batchturbo` with turbo's
+    back-edge off-by-one (its codegen folds a completed iteration with
+    the same ``_TURBO_NEEDLE`` line): every batch-stepped loop
+    over-reports ``instructions`` in every cell, which only the batch
+    axis's cell-vs-sequential counter comparison can see.
+
+    Install its ``compile_batch_turbo`` over the real one
+    (``codecache.load_or_compile_batch`` resolves that name at call
+    time) with the code cache off, so no mutated stepper is stored."""
+    return _scratch_copy(
+        batchturbo, _TURBO_NEEDLE, _TURBO_MUTATION, "offbyone"
     )
 
 
@@ -263,16 +279,4 @@ def memory_mutant(name: str) -> type:
     """A scratch copy of :class:`repro.mem.hierarchy.MemorySystem` with
     the seeded bug ``name`` (a key of :data:`MEMORY_MUTANTS`)."""
     needle, mutation = MEMORY_MUTANTS[name]
-    source = inspect.getsource(hierarchy)
-    if source.count(needle) != 1:
-        raise RuntimeError(
-            f"mutation anchor for {name!r} not found exactly once in the "
-            "hierarchy source; update repro.qa.mutants after refactoring"
-        )
-    module = types.ModuleType(f"repro.mem._qa_mutant_{name.replace('-', '_')}")
-    module.__file__ = f"<qa-mutant:{name}>"
-    exec(
-        compile(source.replace(needle, mutation), module.__file__, "exec"),
-        module.__dict__,
-    )
-    return module.MemorySystem
+    return _scratch_copy(hierarchy, needle, mutation, name).MemorySystem

@@ -207,6 +207,13 @@ class TestVerdictAgreement:
         assert turbo_headers == set(units)
         for sb in btf.superblocks():
             assert sb.depth == unit_depth(units[sb.header])
+        # The shared nest shape: the same block path and the same
+        # per-iteration retired bound for every header.
+        turbo_by_header = {sb.header: sb for sb in tcf.superblocks()}
+        for sb in btf.superblocks():
+            twin = turbo_by_header[sb.header]
+            assert sb.path == twin.path
+            assert sb.bound_retired == twin.bound_retired
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.qa.mutants import (
     MUTANT_ENGINE,
     TRACE_MUTANT_ENGINE,
     TURBO_MUTANT_ENGINE,
+    batchturbo_offbyone,
     mutant_oracle_setup,
     offbyone_blockengine,
     offbyone_superblock,
@@ -94,6 +95,29 @@ def test_trace_mutant_engine_is_caught():
     assert failure.engine == TRACE_MUTANT_ENGINE
     assert failure.check == "differential-trace"
     assert "trace.spans" in failure.detail
+
+
+def test_batchturbo_mutant_is_caught_by_batch_axis(monkeypatch):
+    # The batched back-edge off-by-one over-reports ``instructions`` in
+    # every cell of a batch-stepped loop; the batch axis compares each
+    # cell with a sequential run and must see it, while the real tier
+    # passes the same seeds.  The code cache stays off so no mutated
+    # stepper is stored.
+    import repro.machine.batchturbo as real
+
+    monkeypatch.delenv("REPRO_CODE_CACHE", raising=False)
+    specs = [generate_spec(seed) for seed in range(12)]
+    assert all(batch_failure(spec) is None for spec in specs)
+    mutant = batchturbo_offbyone()
+    assert mutant.compile_batch_turbo is not real.compile_batch_turbo
+    monkeypatch.setattr(
+        real, "compile_batch_turbo", mutant.compile_batch_turbo
+    )
+    checks = [batch_failure(spec) for spec in specs]
+    assert any(
+        failure is not None and failure.check == "batch-differential"
+        for failure in checks
+    )
 
 
 def test_trace_mutant_module_is_scratch_copy():

@@ -135,8 +135,12 @@ class TestFusionShape:
         fused = tcf.superblocks()
         assert [sb.header for sb in fused] == ["loop"]
         assert fused[0].depth == 1
-        assert fused[0].bound_cycles > 0
-        assert fused[0].bound_retired > 0
+        # One iteration of ``loop``: mul, gep, add, add, lt (5 ALU) +
+        # br (1 branch) + 1 load = 7 retired; the guard bound charges
+        # the load the worst demand latency, LLC 40 + DRAM 360.
+        mem_lat = 40 + 360
+        assert fused[0].bound_retired == 7
+        assert fused[0].bound_cycles == 5 + 1 + 1 * mem_lat
 
     def test_nest_fuses_to_depth_two_and_keeps_inner(self):
         module, _, _ = build_nested_indirect()
@@ -153,6 +157,16 @@ class TestFusionShape:
         stats = tcf.stats()
         assert stats["superblocks"] == 2
         assert stats["max_fusion_depth"] == 2
+        # The bounds cover one iteration of every loop in the nest.
+        # inner_h: gep, add, gep, add, add, lt (6 ALU) + br + 3 loads.
+        mem_lat = 40 + 360
+        assert by_header["inner_h"].bound_retired == 10
+        assert by_header["inner_h"].bound_cycles == 6 + 1 + 3 * mem_lat
+        # outer_h adds its own blocks to the inner iteration: outer_h
+        # (gep + jmp) and outer_latch (add, lt + br) = 5 more retired,
+        # 5 more constant cycles, no more loads.
+        assert by_header["outer_h"].bound_retired == 10 + 5
+        assert by_header["outer_h"].bound_cycles == 7 + 5 + 3 * mem_lat
 
     def test_diamond_body_is_rejected_but_inner_fuses(self):
         module, _, _ = build_diamond_outer_short_inner()
@@ -239,8 +253,10 @@ class TestDispatchContract:
                 engine="turbo",
             )
             if substrate:
-                machine._compiled["main"] = compile_blocks(
-                    module.function("main"), machine.config
+                function = module.function("main")
+                machine._compiled["main"] = TurboCompiledFunction(
+                    compile_blocks(function, machine.config),
+                    (None,) * len(function.blocks),
                 )
             trace = machine.enable_tracing()
             result = machine.run("main")
