@@ -59,6 +59,10 @@ ratio (CI gate: 3.0x) over a multi-workload compile ladder; the probe
 asserts internally that the warm run is a real cache hit and that
 cached-load results are bit-identical with fresh compiles.
 
+Every requested gate runs even when an earlier one fails (a probe that
+raises fails its own gate only); the script ends with one
+``gate <name>: ok|FAIL`` line per gate and exits 1 if any failed.
+
 Usage:
     python scripts/ci_perf_check.py [--scale tiny] [--min-speedup 1.2]
         [--min-turbo-speedup 1.0] [--max-telemetry-overhead 0.05]
@@ -82,6 +86,10 @@ from repro.machine.superblock import TurboCompiledFunction
 from repro.passes.ainsworth_jones import AinsworthJonesPass
 from repro.service.api import TuningService
 from repro.workloads.registry import make_workload
+
+# The optional probes live in benchmarks/ (bench_obs, bench_sweep,
+# bench_codecache).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 def timed_suite(engine: str, scale: str) -> tuple[api.SuiteResult, float]:
@@ -207,136 +215,143 @@ def main() -> int:
     )
     args = parser.parse_args()
 
+    # Every requested gate runs even after an earlier one failed (a
+    # noisy probe must not hide the others' verdicts); the exit status
+    # is 1 if any gate failed.
+    verdicts: dict = {}
+
+    def check(gate: str, ok: bool, message: str = "") -> bool:
+        if not ok:
+            print(f"FAIL: {message}", file=sys.stderr)
+        verdicts[gate] = verdicts.get(gate, True) and ok
+        return ok
+
+    def probe(gate: str, measure):
+        """Run one probe; an exception (a probe's own bit-identity
+        assertion) fails ``gate`` instead of ending the run."""
+        try:
+            return measure()
+        except Exception as error:  # noqa: BLE001 - reported as a verdict
+            check(gate, False, f"{gate} probe raised {error!r}")
+            return None
+
     turbo, turbo_seconds = timed_suite("turbo", args.scale)
     reference, reference_seconds = timed_suite("reference", args.scale)
 
-    if turbo.workloads != reference.workloads:
-        print(
-            f"FAIL: workload sets differ: turbo={turbo.workloads} "
-            f"reference={reference.workloads}",
-            file=sys.stderr,
-        )
-        return 1
-
-    mismatches = [
-        name
-        for name in turbo.workloads
-        if turbo.rows[name] != reference.rows[name]
-    ]
-    if mismatches:
-        print(
-            f"FAIL: turbo engine is not bit-identical with the reference "
+    if check(
+        "identity",
+        turbo.workloads == reference.workloads,
+        f"workload sets differ: turbo={turbo.workloads} "
+        f"reference={reference.workloads}",
+    ):
+        mismatches = [
+            name
+            for name in turbo.workloads
+            if turbo.rows[name] != reference.rows[name]
+        ]
+        check(
+            "identity",
+            not mismatches,
+            f"turbo engine is not bit-identical with the reference "
             f"interpreter on: {', '.join(mismatches)}",
-            file=sys.stderr,
         )
-        return 1
-
     errors = [
         name
         for name in turbo.workloads
         if turbo.rows[name].get("error") is not None
     ]
-    if errors:
-        print(f"FAIL: suite errors on: {', '.join(errors)}", file=sys.stderr)
-        return 1
+    check("identity", not errors, f"suite errors on: {', '.join(errors)}")
 
     speedup = reference_seconds / max(turbo_seconds, 1e-9)
-    substrate = substrate_probe(args.scale)
     print(
         f"suite@{args.scale}: {len(turbo.workloads)} workload(s), "
         f"turbo={turbo_seconds:.2f}s reference={reference_seconds:.2f}s "
-        f"turbo/reference={speedup:.2f}x (floor {args.min_speedup:.2f}x); "
-        f"substrate probe turbo={substrate['turbo']:.2f}s "
-        f"blocks={substrate['blocks']:.2f}s "
-        f"turbo/blocks={substrate['speedup']:.2f}x "
-        f"(floor {args.min_turbo_speedup:.2f}x)"
+        f"turbo/reference={speedup:.2f}x (floor {args.min_speedup:.2f}x)"
     )
-    if speedup < args.min_speedup:
+    check(
+        "turbo/reference",
+        speedup >= args.min_speedup,
+        f"turbo engine speedup {speedup:.2f}x is below the "
+        f"{args.min_speedup:.2f}x floor",
+    )
+    substrate = probe("turbo/blocks", lambda: substrate_probe(args.scale))
+    if substrate is not None:
         print(
-            f"FAIL: turbo engine speedup {speedup:.2f}x is below the "
-            f"{args.min_speedup:.2f}x floor",
-            file=sys.stderr,
+            f"substrate probe turbo={substrate['turbo']:.2f}s "
+            f"blocks={substrate['blocks']:.2f}s "
+            f"turbo/blocks={substrate['speedup']:.2f}x "
+            f"(floor {args.min_turbo_speedup:.2f}x)"
         )
-        return 1
-    if substrate["speedup"] < args.min_turbo_speedup:
-        print(
-            f"FAIL: turbo-vs-per-block-substrate speedup "
+        check(
+            "turbo/blocks",
+            substrate["speedup"] >= args.min_turbo_speedup,
+            f"turbo-vs-per-block-substrate speedup "
             f"{substrate['speedup']:.2f}x is below the "
             f"{args.min_turbo_speedup:.2f}x floor",
-            file=sys.stderr,
         )
-        return 1
 
     if args.max_telemetry_overhead is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_obs import measure_telemetry
 
-        probe = measure_telemetry(repeats=args.telemetry_repeats)
-        print(
-            f"telemetry probe: plain={probe['plain_s']:.2f}s "
-            f"traced={probe['traced_s']:.2f}s "
-            f"overhead={probe['telemetry_overhead'] * 100:.1f}% "
-            f"(ceiling {args.max_telemetry_overhead * 100:.1f}%), "
-            f"{probe['span_records']} span record(s)"
+        result = probe(
+            "telemetry",
+            lambda: measure_telemetry(repeats=args.telemetry_repeats),
         )
-        if not probe["results_identical"]:
+        if result is not None:
             print(
-                "FAIL: suite results differ with telemetry on vs off",
-                file=sys.stderr,
+                f"telemetry probe: plain={result['plain_s']:.2f}s "
+                f"traced={result['traced_s']:.2f}s "
+                f"overhead={result['telemetry_overhead'] * 100:.1f}% "
+                f"(ceiling {args.max_telemetry_overhead * 100:.1f}%), "
+                f"{result['span_records']} span record(s)"
             )
-            return 1
-        if probe["telemetry_overhead"] > args.max_telemetry_overhead:
-            print(
-                f"FAIL: telemetry overhead "
-                f"{probe['telemetry_overhead'] * 100:.1f}% exceeds the "
+            check(
+                "telemetry",
+                result["results_identical"],
+                "suite results differ with telemetry on vs off",
+            )
+            check(
+                "telemetry",
+                result["telemetry_overhead"] <= args.max_telemetry_overhead,
+                f"telemetry overhead "
+                f"{result['telemetry_overhead'] * 100:.1f}% exceeds the "
                 f"{args.max_telemetry_overhead * 100:.1f}% ceiling",
-                file=sys.stderr,
             )
-            return 1
 
     if args.max_trace_overhead is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_obs import measure
 
-        probe = measure()
-        print(
-            f"trace probe: {probe['workload']} "
-            f"untraced={probe['disabled_s']:.3f}s "
-            f"traced={probe['enabled_s']:.3f}s "
-            f"overhead={probe['enabled_overhead'] * 100:.0f}% "
-            f"(ceiling {args.max_trace_overhead * 100:.0f}%)"
-        )
-        if not probe["cycles_identical"]:
+        result = probe("trace", measure)
+        if result is not None:
             print(
-                "FAIL: simulated cycles differ with tracing on vs off",
-                file=sys.stderr,
+                f"trace probe: {result['workload']} "
+                f"untraced={result['disabled_s']:.3f}s "
+                f"traced={result['enabled_s']:.3f}s "
+                f"overhead={result['enabled_overhead'] * 100:.0f}% "
+                f"(ceiling {args.max_trace_overhead * 100:.0f}%)"
             )
-            return 1
-        if probe["enabled_overhead"] > args.max_trace_overhead:
-            print(
-                f"FAIL: tracing overhead "
-                f"{probe['enabled_overhead'] * 100:.0f}% exceeds the "
+            check(
+                "trace",
+                result["cycles_identical"],
+                "simulated cycles differ with tracing on vs off",
+            )
+            check(
+                "trace",
+                result["enabled_overhead"] <= args.max_trace_overhead,
+                f"tracing overhead "
+                f"{result['enabled_overhead'] * 100:.0f}% exceeds the "
                 f"{args.max_trace_overhead * 100:.0f}% ceiling",
-                file=sys.stderr,
             )
-            return 1
 
     sweep = None
     if args.min_batch_speedup is not None or (
         args.min_batchturbo_speedup is not None
     ):
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_sweep import measure_sweep
 
-        sweep = measure_sweep()
+        sweep = probe("sweep", measure_sweep)
 
-    if args.min_batch_speedup is not None:
+    if args.min_batch_speedup is not None and sweep is not None:
         print(
             f"batch probe: {sweep['workload']}@{sweep['scale']} "
             f"{sweep['cells']}-cell distance sweep "
@@ -345,76 +360,81 @@ def main() -> int:
             f"(floor {args.min_batch_speedup:.2f}x) "
             f"vs turbo={sweep['speedup']['turbo']:.2f}x (floor 1.00x)"
         )
-        if sweep["speedup"]["reference"] < args.min_batch_speedup:
-            print(
-                f"FAIL: batched sweep speedup "
-                f"{sweep['speedup']['reference']:.2f}x is below the "
-                f"{args.min_batch_speedup:.2f}x floor",
-                file=sys.stderr,
-            )
-            return 1
-        if sweep["speedup"]["turbo"] < 1.0:
-            print(
-                f"FAIL: batched sweep loses to per-cell turbo runs "
-                f"({sweep['speedup']['turbo']:.2f}x < 1.00x)",
-                file=sys.stderr,
-            )
-            return 1
+        check(
+            "batch",
+            sweep["speedup"]["reference"] >= args.min_batch_speedup,
+            f"batched sweep speedup "
+            f"{sweep['speedup']['reference']:.2f}x is below the "
+            f"{args.min_batch_speedup:.2f}x floor",
+        )
+        check(
+            "batch",
+            sweep["speedup"]["turbo"] >= 1.0,
+            f"batched sweep loses to per-cell turbo runs "
+            f"({sweep['speedup']['turbo']:.2f}x < 1.00x)",
+        )
 
-    if args.min_batchturbo_speedup is not None:
+    if args.min_batchturbo_speedup is not None and sweep is not None:
         from bench_sweep import measure_grid
 
         ratio = sweep["speedup"]["turbo"]
-        grid = measure_grid()
-        print(
-            f"batchturbo probe: {sweep['workload']}@{sweep['scale']} "
-            f"{sweep['cells']}-cell ladder "
-            f"per-cell turbo={sweep['sequential_s']['turbo']:.2f}s "
-            f"batched={sweep['batched_s']:.2f}s "
-            f"-> {ratio:.2f}x (floor {args.min_batchturbo_speedup:.2f}x); "
-            f"{grid['cells']}-cell grid {grid['speedup']['turbo']:.2f}x "
-            f"(floor 1.00x)"
-        )
-        if ratio < args.min_batchturbo_speedup:
+        grid = probe("batchturbo", measure_grid)
+        if grid is not None:
             print(
-                f"FAIL: batched-vs-per-cell-turbo speedup {ratio:.2f}x is "
-                f"below the {args.min_batchturbo_speedup:.2f}x floor",
-                file=sys.stderr,
+                f"batchturbo probe: {sweep['workload']}@{sweep['scale']} "
+                f"{sweep['cells']}-cell ladder "
+                f"per-cell turbo={sweep['sequential_s']['turbo']:.2f}s "
+                f"batched={sweep['batched_s']:.2f}s "
+                f"-> {ratio:.2f}x "
+                f"(floor {args.min_batchturbo_speedup:.2f}x); "
+                f"{grid['cells']}-cell grid "
+                f"{grid['speedup']['turbo']:.2f}x (floor 1.00x)"
             )
-            return 1
-        if grid["speedup"]["turbo"] < 1.0:
-            print(
-                f"FAIL: the batched tier loses to per-cell turbo on the "
+            check(
+                "batchturbo",
+                ratio >= args.min_batchturbo_speedup,
+                f"batched-vs-per-cell-turbo speedup {ratio:.2f}x is "
+                f"below the {args.min_batchturbo_speedup:.2f}x floor",
+            )
+            check(
+                "batchturbo",
+                grid["speedup"]["turbo"] >= 1.0,
+                f"the batched tier loses to per-cell turbo on the "
                 f"distance x cache-scale grid "
                 f"({grid['speedup']['turbo']:.2f}x < 1.00x)",
-                file=sys.stderr,
             )
-            return 1
 
     if args.min_codecache_speedup is not None:
-        sys.path.insert(
-            0, str(Path(__file__).resolve().parents[1] / "benchmarks")
-        )
         from bench_codecache import measure_codecache
 
-        probe = measure_codecache()
-        print(
-            f"codecache probe: {len(probe['workloads'])}-workload "
-            f"ladder@{probe['scale']} "
-            f"turbo cold={probe['cold_s']['turbo'] * 1000:.1f}ms "
-            f"warm={probe['warm_s']['turbo'] * 1000:.1f}ms "
-            f"-> {probe['speedup']['turbo']:.2f}x "
-            f"(floor {args.min_codecache_speedup:.2f}x)"
-        )
-        if probe["speedup"]["turbo"] < args.min_codecache_speedup:
+        result = probe("codecache", measure_codecache)
+        if result is not None:
             print(
-                f"FAIL: warm code-cache load speedup "
-                f"{probe['speedup']['turbo']:.2f}x is below the "
-                f"{args.min_codecache_speedup:.2f}x floor",
-                file=sys.stderr,
+                f"codecache probe: {len(result['workloads'])}-workload "
+                f"ladder@{result['scale']} "
+                f"turbo cold={result['cold_s']['turbo'] * 1000:.1f}ms "
+                f"warm={result['warm_s']['turbo'] * 1000:.1f}ms "
+                f"-> {result['speedup']['turbo']:.2f}x "
+                f"(floor {args.min_codecache_speedup:.2f}x)"
             )
-            return 1
+            check(
+                "codecache",
+                result["speedup"]["turbo"] >= args.min_codecache_speedup,
+                f"warm code-cache load speedup "
+                f"{result['speedup']['turbo']:.2f}x is below the "
+                f"{args.min_codecache_speedup:.2f}x floor",
+            )
 
+    for gate, ok in verdicts.items():
+        print(f"gate {gate}: {'ok' if ok else 'FAIL'}")
+    failed = [gate for gate, ok in verdicts.items() if not ok]
+    if failed:
+        print(
+            f"FAIL: {len(failed)} of {len(verdicts)} gate(s) failed: "
+            f"{', '.join(failed)}",
+            file=sys.stderr,
+        )
+        return 1
     print(
         "OK: counters bit-identical, turbo beats reference and its "
         "per-block substrate"

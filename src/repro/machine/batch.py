@@ -362,9 +362,15 @@ def analyze_modules(modules: Sequence[Module]) -> dict:
 # per-cell paths.
 # ----------------------------------------------------------------------
 class _BatchFrame:
-    """Per-invocation state: uniform tallies + per-cell clocks/overlays."""
+    """Per-invocation state: uniform tallies + per-cell clocks/overlays.
+
+    ``cycle`` and ``next_sample`` exist only for the dispatch loop the
+    batched tier shares with turbo: batched runs never sample, so they
+    hold 0 and ``NEVER`` for the whole run."""
 
     __slots__ = (
+        "cycle",
+        "next_sample",
         "cycles",
         "retired",
         "loads",

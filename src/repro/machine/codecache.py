@@ -68,6 +68,7 @@ from repro.machine.superblock import (
     Superblock,
     TurboCompiledFunction,
     compile_turbo,
+    exec_stepper,
 )
 from repro.obs import telemetry as obs_telemetry
 
@@ -116,9 +117,10 @@ def _encode_code(source: str, filename: str) -> str:
     return base64.b64encode(marshal.dumps(code)).decode("ascii")
 
 
-def _exec_blob(blob, namespace: dict, entry: str):
-    """Unmarshal + exec one cached code blob; returns ``entry`` from the
-    namespace.  Raises :class:`CodeCacheInvalid` on anything suspect."""
+def _exec_blob(blob, entry: str, ptables: Optional[tuple]):
+    """Unmarshal + exec one cached code blob; returns its ``entry``
+    stepper (``ptables`` bound as a batched stepper's ``PT``).  Raises
+    :class:`CodeCacheInvalid` on a blob that is no code object."""
     if not isinstance(blob, str):
         raise CodeCacheInvalid("code blob is not a string")
     try:
@@ -127,58 +129,65 @@ def _exec_blob(blob, namespace: dict, entry: str):
         raise CodeCacheInvalid(f"unmarshalable code blob: {exc}") from exc
     if not isinstance(code, types.CodeType):
         raise CodeCacheInvalid("blob did not decode to a code object")
-    exec(code, namespace)  # noqa: S102 - our own serialized codegen
-    fn = namespace.get(entry)
-    if not callable(fn):
-        raise CodeCacheInvalid(f"cached module defines no {entry}()")
-    return fn
+    return exec_stepper(code, entry, ptables)
 
 
 # ----------------------------------------------------------------------
-# Pack/load
+# Pack/load: one pair for both fused tiers' Superblock tables
 # ----------------------------------------------------------------------
-def _pack_turbo(compiled: TurboCompiledFunction) -> dict:
-    superblocks = []
+_VARIANTS = ("plain", "profiled")
+
+
+def _pack(compiled: TurboCompiledFunction) -> dict:
+    """The superblock table of either fused tier as a JSON payload: a
+    batched nest has no profiled variant (``None``) and carries its
+    per-cell constant tables; a turbo nest has both variants and no
+    tables."""
+    name = compiled.function.name
+    superblocks: list = []
     for sb in compiled._superblocks:
         if sb is None:
             superblocks.append(None)
             continue
-        name = compiled.function.name
-        superblocks.append(
-            {
-                "header": sb.header,
-                "header_index": sb.header_index,
-                "path": list(sb.path),
-                "depth": sb.depth,
-                "bound_cycles": sb.bound_cycles,
-                "bound_retired": sb.bound_retired,
-                "source_plain": sb.source_plain,
-                "source_profiled": sb.source_profiled,
-                "code_plain": _encode_code(
-                    sb.source_plain,
-                    f"<superblock:{name}:{sb.header}:plain:cached>",
-                ),
-                "code_profiled": _encode_code(
-                    sb.source_profiled,
-                    f"<superblock:{name}:{sb.header}:profiled:cached>",
-                ),
-            }
-        )
+        entry = {
+            "header": sb.header,
+            "header_index": sb.header_index,
+            "path": list(sb.path),
+            "depth": sb.depth,
+            "bound_cycles": sb.bound_cycles,
+            "bound_retired": sb.bound_retired,
+            "ptables": [list(table) for table in sb.ptables],
+        }
+        for variant in _VARIANTS:
+            source = getattr(sb, f"source_{variant}")
+            entry[f"source_{variant}"] = source
+            entry[f"code_{variant}"] = (
+                None
+                if source is None
+                else _encode_code(
+                    source, f"<superblock:{name}:{sb.header}:{variant}:cached>"
+                )
+            )
+        superblocks.append(entry)
     return {"blocks": len(compiled._blocks), "superblocks": superblocks}
 
 
-def _load_turbo(
-    payload: dict, function, config: MachineConfig
-) -> TurboCompiledFunction:
-    base = compile_blocks(function, config)
+def _load(payload: dict, base, ncells: Optional[int] = None) -> tuple:
+    """The superblock table :func:`_pack` wrote, validated against the
+    freshly built ``base`` chains.  ``ncells`` is ``None`` for turbo
+    (plain and profiled steppers, no per-cell tables) and the cell
+    count for batchturbo (a plain stepper only, plus one int table of
+    ``ncells`` entries per divergent immediate, bound as its ``PT``)."""
+    size = len(base._blocks)
     entries = payload.get("superblocks")
-    if not isinstance(entries, list) or payload.get("blocks") != len(
-        base._blocks
-    ):
+    if not isinstance(entries, list) or payload.get("blocks") != size:
         raise CodeCacheInvalid("superblock table shape drifted")
-    if len(entries) != len(base._blocks):
+    if len(entries) != size:
         raise CodeCacheInvalid("superblock table length drifted")
-    superblocks: list = [None] * len(base._blocks)
+    batched = ncells is not None
+    stepper = "__batchsb" if batched else "__superblock"
+    variants = _VARIANTS[:1] if batched else _VARIANTS
+    superblocks: list = [None] * size
     for index, entry in enumerate(entries):
         if entry is None:
             continue
@@ -202,27 +211,41 @@ def _load_turbo(
             or bound_cycles < 1
         ):
             raise CodeCacheInvalid("implausible superblock bounds")
-        source_plain = entry.get("source_plain")
-        source_profiled = entry.get("source_profiled")
-        if not isinstance(source_plain, str) or not isinstance(
-            source_profiled, str
+        sources = {v: entry.get(f"source_{v}") for v in _VARIANTS}
+        if any(not isinstance(sources[v], str) for v in variants) or (
+            batched
+            and (sources["profiled"], entry.get("code_profiled"))
+            != (None, None)
         ):
             raise CodeCacheInvalid("superblock sources missing")
-        run_plain = _exec_blob(entry["code_plain"], {}, "__superblock")
-        run_profiled = _exec_blob(entry["code_profiled"], {}, "__superblock")
+        # Turbo nests have no tables: any table fails ``len != None``.
+        tables = entry.get("ptables")
+        if not isinstance(tables, list) or any(
+            not isinstance(table, list)
+            or len(table) != ncells
+            or any(not isinstance(value, int) for value in table)
+            for table in tables
+        ):
+            raise CodeCacheInvalid("per-cell constant tables drifted")
+        ptables = tuple(tuple(t) for t in tables) if batched else None
+        runs = {
+            v: _exec_blob(entry.get(f"code_{v}"), stepper, ptables)
+            for v in variants
+        }
         superblocks[index] = Superblock(
             header=header,
             header_index=index,
             path=tuple(entry.get("path", ())),
             depth=int(entry.get("depth", 1)),
-            run_plain=run_plain,
-            run_profiled=run_profiled,
-            source_plain=source_plain,
-            source_profiled=source_profiled,
+            run_plain=runs["plain"],
+            run_profiled=runs.get("profiled"),
+            source_plain=sources["plain"],
+            source_profiled=sources["profiled"],
             bound_cycles=bound_cycles,
             bound_retired=bound_retired,
+            ptables=ptables or (),
         )
-    return TurboCompiledFunction(base, tuple(superblocks))
+    return tuple(superblocks)
 
 
 def _cell_vector(plan, cell_configs) -> list:
@@ -249,107 +272,6 @@ def _cell_vector(plan, cell_configs) -> list:
 def _cells_digest(vector: list) -> str:
     text = "|".join(sorted(vector))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def _pack_batch(compiled) -> dict:
-    superblocks = []
-    for sb in compiled._superblocks:
-        if sb is None:
-            superblocks.append(None)
-            continue
-        name = compiled.plan.name
-        superblocks.append(
-            {
-                "header": sb.header,
-                "header_index": sb.header_index,
-                "path": list(sb.path),
-                "depth": sb.depth,
-                "bound_cycles": sb.bound_cycles,
-                "bound_retired": sb.bound_retired,
-                "source": sb.source,
-                "code": _encode_code(
-                    sb.source, f"<batchsb:{name}:{sb.header}:cached>"
-                ),
-                "ptables": [list(table) for table in sb.ptables],
-            }
-        )
-    return {"blocks": len(compiled._blocks), "superblocks": superblocks}
-
-
-def _load_batch(payload: dict, plan, plans, config, ncells: int):
-    from repro.machine.batch import _BatchBlockCompiler
-    from repro.machine.batchturbo import (
-        BatchSuperblock,
-        BatchTurboCompiledFunction,
-    )
-
-    compiler = _BatchBlockCompiler(plan, plans, config)
-    blocks = tuple(
-        compiler.compile_block(aligned)
-        for aligned in zip(*(list(f.blocks) for f in plan.functions))
-    )
-    entries = payload.get("superblocks")
-    if not isinstance(entries, list) or payload.get("blocks") != len(
-        blocks
-    ):
-        raise CodeCacheInvalid("superblock table shape drifted")
-    if len(entries) != len(blocks):
-        raise CodeCacheInvalid("superblock table length drifted")
-    superblocks: list = [None] * len(blocks)
-    for index, entry in enumerate(entries):
-        if entry is None:
-            continue
-        if not isinstance(entry, dict):
-            raise CodeCacheInvalid("superblock entry is not a mapping")
-        header = entry.get("header")
-        if (
-            header not in compiler.block_index
-            or compiler.block_index[header] != entry.get("header_index")
-            or entry.get("header_index") != index
-        ):
-            raise CodeCacheInvalid(f"header {header!r} drifted")
-        bound_retired = entry.get("bound_retired")
-        bound_cycles = entry.get("bound_cycles")
-        if (
-            not isinstance(bound_retired, int)
-            or bound_retired < 1
-            or not isinstance(bound_cycles, int)
-            or bound_cycles < 1
-        ):
-            raise CodeCacheInvalid("implausible superblock bounds")
-        source = entry.get("source")
-        if not isinstance(source, str):
-            raise CodeCacheInvalid("superblock source missing")
-        tables = entry.get("ptables")
-        if not isinstance(tables, list) or any(
-            not isinstance(table, list)
-            or len(table) != ncells
-            or any(not isinstance(value, int) for value in table)
-            for table in tables
-        ):
-            raise CodeCacheInvalid("per-cell constant tables drifted")
-        run = _exec_blob(entry["code"], {}, "__batchsb")
-        superblocks[index] = BatchSuperblock(
-            header=header,
-            header_index=index,
-            path=tuple(entry.get("path", ())),
-            depth=int(entry.get("depth", 1)),
-            run=run,
-            source=source,
-            bound_cycles=bound_cycles,
-            bound_retired=bound_retired,
-            ptables=tuple(tuple(table) for table in tables),
-        )
-    return BatchTurboCompiledFunction(
-        plan,
-        blocks,
-        tuple(block.name for block in plan.functions[0].blocks),
-        compiler.block_index[plan.functions[0].entry.name],
-        len(compiler.slots),
-        compiler.has_divergence,
-        plan.ret_divergent,
-        tuple(superblocks),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -425,13 +347,45 @@ class CodeCache:
         compiled form when possible, fresh compile (recorded, re-put)
         otherwise."""
         key = self.key(function, config)
-        fingerprint = dict(key.params)["ir"]
+
+        def load(payload):
+            base = compile_blocks(function, config)
+            return TurboCompiledFunction(base, _load(payload, base))
+
+        return self._serve(
+            key,
+            "turbo",
+            function.name,
+            # The embedded fingerprint is the staleness detector: a
+            # payload planted (or left) under this key for different IR
+            # must be rejected before any of its code runs.
+            {"ir": dict(key.params)["ir"]},
+            lambda: compile_turbo(function, config),
+            load,
+        )
+
+    def _serve(self, key, engine: str, name: str, fields: dict, fresh, load):
+        """Validate-or-recompile for one key: the payload's header
+        (codegen digest, engine, function, interpreter cache tag, and
+        ``fields``) must match before ``load`` runs; any failure, or a
+        miss, compiles with ``fresh`` and re-puts the entry."""
+        header = dict(
+            codegen=codegen_digest(),
+            engine=engine,
+            function=name,
+            cache_tag=sys.implementation.cache_tag,
+            **fields,
+        )
         payload = self.store.get(key)
         if payload is not None:
             try:
-                compiled = self._validate_and_load(
-                    payload, function, config, fingerprint
-                )
+                with obs_telemetry.phase(
+                    "engine.load", workload=name, engine=engine
+                ):
+                    for field, value in header.items():
+                        if payload.get(field) != value:
+                            raise CodeCacheInvalid(f"{field} mismatch")
+                    compiled = load(payload)
             except Exception:
                 # Any failure shape — stale module, torn blob, drifted
                 # structure — degrades to a recompile, never a crash.
@@ -443,42 +397,17 @@ class CodeCache:
             self._count("misses")
 
         with obs_telemetry.phase(
-            "engine.codegen", workload=function.name, engine="turbo"
+            "engine.codegen", workload=name, engine=engine
         ):
-            compiled = compile_turbo(function, config)
+            compiled = fresh()
         try:
-            body = _pack_turbo(compiled)
-            body.update(
-                codegen=codegen_digest(),
-                engine="turbo",
-                function=function.name,
-                ir=fingerprint,
-                cache_tag=sys.implementation.cache_tag,
-            )
+            body = _pack(compiled)
+            body.update(header)
             self.store.put(key, body)
         except Exception:
             # A read-only or full cache directory must not break runs.
             self._count("put_errors")
         return compiled
-
-    def _validate_and_load(self, payload, function, config, fingerprint):
-        with obs_telemetry.phase(
-            "engine.load", workload=function.name, engine="turbo"
-        ):
-            if payload.get("codegen") != codegen_digest():
-                raise CodeCacheInvalid("codegen digest mismatch")
-            if payload.get("engine") != "turbo":
-                raise CodeCacheInvalid("engine mismatch")
-            if payload.get("function") != function.name:
-                raise CodeCacheInvalid("function name mismatch")
-            if payload.get("cache_tag") != sys.implementation.cache_tag:
-                raise CodeCacheInvalid("interpreter cache tag mismatch")
-            # The embedded fingerprint is the staleness detector: a
-            # payload planted (or left) under this key for different IR
-            # must be rejected before any of its code runs.
-            if payload.get("ir") != fingerprint:
-                raise CodeCacheInvalid("stale IR fingerprint")
-            return _load_turbo(payload, function, config)
 
 
 # ----------------------------------------------------------------------
@@ -519,64 +448,34 @@ def load_or_compile_batch(
     payload embeds the *ordered* vector and a load under a permuted
     cell order invalidates (the steppers' PT tables are positional).
     """
-    from repro.machine.batchturbo import compile_batch_turbo
+    from repro.machine.batchturbo import (
+        BatchTurboCompiledFunction,
+        batch_chains,
+        compile_batch_turbo,
+    )
 
     if cache is None:
         return compile_batch_turbo(plan, plans, config, cell_configs)
 
     ordered = _cell_vector(plan, cell_configs)
-    key = batch_key(cache, plan, config, _cells_digest(ordered), len(ordered))
-    payload = cache.store.get(key)
-    if payload is not None:
-        try:
-            with obs_telemetry.phase(
-                "engine.load", workload=plan.name, engine="batchturbo"
-            ):
-                if payload.get("codegen") != codegen_digest():
-                    raise CodeCacheInvalid("codegen digest mismatch")
-                if payload.get("engine") != "batchturbo":
-                    raise CodeCacheInvalid("engine mismatch")
-                if payload.get("function") != plan.name:
-                    raise CodeCacheInvalid("function name mismatch")
-                if (
-                    payload.get("cache_tag")
-                    != sys.implementation.cache_tag
-                ):
-                    raise CodeCacheInvalid(
-                        "interpreter cache tag mismatch"
-                    )
-                if payload.get("cell_vector") != ordered:
-                    raise CodeCacheInvalid(
-                        "cell fingerprint vector drifted"
-                    )
-                compiled = _load_batch(
-                    payload, plan, plans, config, len(ordered)
-                )
-        except Exception:
-            cache._count("invalidated")
-        else:
-            cache._count("hits")
-            return compiled
-    else:
-        cache._count("misses")
 
-    with obs_telemetry.phase(
-        "engine.codegen", workload=plan.name, engine="batchturbo"
-    ):
-        compiled = compile_batch_turbo(plan, plans, config, cell_configs)
-    try:
-        body = _pack_batch(compiled)
-        body.update(
-            codegen=codegen_digest(),
-            engine="batchturbo",
-            function=plan.name,
-            cell_vector=ordered,
-            cache_tag=sys.implementation.cache_tag,
+    def load(payload):
+        base, needs_overlay = batch_chains(plan, plans, config)
+        return BatchTurboCompiledFunction(
+            base,
+            _load(payload, base, len(ordered)),
+            plan.divergent,
+            needs_overlay,
         )
-        cache.store.put(key, body)
-    except Exception:
-        cache._count("put_errors")
-    return compiled
+
+    return cache._serve(
+        batch_key(cache, plan, config, _cells_digest(ordered), len(ordered)),
+        "batchturbo",
+        plan.name,
+        {"cell_vector": ordered},
+        lambda: compile_batch_turbo(plan, plans, config, cell_configs),
+        load,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -806,9 +806,6 @@ def _booby_trap(payload: dict) -> None:
         "raise RuntimeError('stale cached module executed')",
         "<codecache-selftest-trap>",
     )
-    for field in ("code", "code_plain", "code_profiled"):
-        if field in payload:
-            payload[field] = trap
     for entry in payload.get("superblocks", ()) or ():
         if isinstance(entry, dict):
             for field in ("code_plain", "code_profiled"):

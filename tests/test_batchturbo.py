@@ -214,6 +214,11 @@ class TestVerdictAgreement:
             twin = turbo_by_header[sb.header]
             assert sb.path == twin.path
             assert sb.bound_retired == twin.bound_retired
+        # One compiled form: the batched tier's only extra stat is its
+        # divergent-register count.
+        assert set(btf.stats()) - {"divergent_registers"} == set(
+            tcf.stats()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +366,58 @@ class TestBatchCodeCache:
             )
             assert value == seq_value
             assert counters == seq_counters
+
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda entry: entry.update(bound_retired=0),
+            lambda entry: entry.update(source_plain=None),
+            lambda entry: entry.update(source_profiled="pass"),
+            lambda entry: entry["ptables"][0].append(0),
+            lambda entry: entry["ptables"][0].__setitem__(0, "4"),
+        ],
+        ids=[
+            "bounds",
+            "no-source",
+            "profiled-source",
+            "table-width",
+            "table-type",
+        ],
+    )
+    def test_tampered_payloads_fall_back(
+        self, cache_dir, tamper, monkeypatch
+    ):
+        # Turbo's loader reads the batched record too; the checks that
+        # only a batched entry has (a plain stepper only, one int per
+        # cell in each constant table) must reject a tampered entry.
+        config = replace(cell_config(tiny_memory()), code_cache=cache_dir)
+
+        def run():
+            cells = [
+                BatchCell(*build_kernel(n=120, distance=d), config)
+                for d in (4, 8)
+            ]
+            outcome = run_batch(cells)
+            assert outcome.batched
+            return [(r.value, r.counters.as_dict()) for r in outcome.results]
+
+        cache = codecache.resolve(cache_dir)
+        keys = []
+        put = cache.store.put
+        monkeypatch.setattr(
+            cache.store,
+            "put",
+            lambda key, payload: (keys.append(key), put(key, payload)),
+        )
+        cold = run()
+        (key,) = keys
+        payload = cache.store.get(key)
+        (entry,) = [e for e in payload["superblocks"] if e is not None]
+        assert entry["ptables"]  # the per-cell prefetch distance
+        tamper(entry)
+        put(key, payload)
+        assert run() == cold
+        assert cache.stats()["invalidated"] == 1
 
     def test_permuted_cell_order_invalidates(self, cache_dir):
         forward = self._run(self._configs(cache_dir, (1, 2, 4, 8)))

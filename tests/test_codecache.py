@@ -175,6 +175,8 @@ def test_stale_ir_is_detected_not_executed(cache_dir):
         lambda p: p.update(engine="reference"),
         lambda p: p["superblocks"][1].update(code_plain="!!not-base64!!"),
         lambda p: p["superblocks"][1].update(bound_retired=0),
+        lambda p: p["superblocks"][1].update(ptables=[[1, 2]]),
+        lambda p: p["superblocks"][1].update(source_profiled=None),
         lambda p: p["superblocks"][1].update(header="no_such_block"),
         lambda p: p.update(superblocks=[]),
     ],

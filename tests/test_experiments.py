@@ -1,5 +1,19 @@
-"""Smoke tests for every experiment module at tiny scale, plus unit
-tests for the result/report formatting and the shared runner."""
+"""Every experiment module at tiny scale, pinned to a committed golden,
+plus unit tests for the result/report formatting and the shared runner.
+
+The golden (``tests/golden/experiments_tiny.json``) keeps, per
+experiment, the SHA-256 of its headers and rows in canonical JSON; the
+host-timing columns (:data:`HOST_TIMING_COLUMNS`) are left out by name,
+since they measure the machine the test runs on, not the simulation.
+Regenerate only for an intended change to simulated results::
+
+    PYTHONPATH=src python tests/test_experiments.py --record
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,14 +117,57 @@ class TestRunnerHelpers:
         assert comparison.mpki("baseline") > 0
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden" / "experiments_tiny.json"
+
+#: Columns that time the host (``profiling_overhead``'s sampled-run
+#: slowdown and analysis wall clock): excluded from the golden.
+HOST_TIMING_COLUMNS = frozenset(
+    {"host slowdown (sampled run)", "analysis wall (s)"}
+)
+
+
+def golden_entry(result: ExperimentResult) -> dict:
+    """The golden entry for one experiment: its simulated headers and
+    the SHA-256 of headers plus rows in canonical JSON."""
+    keep = [
+        index
+        for index, header in enumerate(result.headers)
+        if header not in HOST_TIMING_COLUMNS
+    ]
+    table = {
+        "headers": [result.headers[index] for index in keep],
+        "rows": [[row[index] for index in keep] for row in result.rows],
+    }
+    text = json.dumps(table, sort_keys=True, separators=(",", ":"))
+    return {
+        "headers": table["headers"],
+        "rows": len(table["rows"]),
+        "sha256": hashlib.sha256(text.encode()).hexdigest(),
+    }
+
+
+@pytest.fixture(scope="module")
+def golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_golden_covers_every_experiment(golden):
+    assert sorted(golden) == sorted(ALL_EXPERIMENTS)
+
+
 @pytest.mark.parametrize("name", sorted(ALL_EXPERIMENTS))
-def test_experiment_runs_at_tiny_scale(name):
+def test_experiment_runs_at_tiny_scale(name, golden):
     result = ALL_EXPERIMENTS[name].run("tiny")
     assert result.experiment == name
     assert result.rows
     assert result.headers
     text = result.to_text()
     assert name in text
+    got = golden_entry(result)
+    want = golden[name]
+    assert got["headers"] == want["headers"]
+    assert got["rows"] == want["rows"]
+    assert got["sha256"] == want["sha256"]
 
 
 class TestFig4Histogram:
@@ -170,3 +227,22 @@ class TestFormattingEdges:
         )
         assert "geomean: 1.235" in text
         assert text.endswith("hello")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_experiments.py --record")
+    GOLDEN.parent.mkdir(exist_ok=True)
+    entries = sorted(
+        (name, golden_entry(ALL_EXPERIMENTS[name].run("tiny")))
+        for name in ALL_EXPERIMENTS
+    )
+    GOLDEN.write_text(
+        "{\n"
+        + ",\n".join(
+            f"{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}"
+            for name, entry in entries
+        )
+        + "\n}\n"
+    )
+    print(f"wrote {GOLDEN}")

@@ -1,6 +1,7 @@
 """Turbo-tier tests: nest-fusion shape, steady-state bulk stepping,
 observation-point guards, traced bulk stepping, and the adaptive
-short-trip fallback.
+short-trip fallback (on both fused tiers, which share the dispatch
+loop).
 
 Cross-engine bit-identicality over random programs lives in the
 ``repro.qa`` oracle and ``tests/test_machine_engines.py``; this file
@@ -14,6 +15,7 @@ import pytest
 
 from repro.ir.builder import IRBuilder
 from repro.ir.nodes import Module
+from repro.machine.batch import BatchCell, BatchMachine
 from repro.machine.blockengine import compile_blocks
 from repro.machine.config import MachineConfig
 from repro.machine.interpreter import ExecutionLimitExceeded
@@ -109,6 +111,41 @@ def build_diamond_outer_short_inner(
         expected += 1 if k < outer // 2 else 2
         expected += 3 * inner
     return module, space, expected
+
+
+#: The two fused tiers, which share one dispatch loop.
+TIERS = ("turbo", "batchturbo")
+
+
+def short_trip_runner(tier: str):
+    """``(compiled, run, expected)`` for the diamond-outer, 1-trip-inner
+    program on ``tier``: ``compiled`` is the entry function's compiled
+    form and ``run()`` runs it once, returning every cell's value (two
+    identical cells for ``batchturbo``)."""
+    if tier == "turbo":
+        module, space, expected = build_diamond_outer_short_inner(
+            outer=200, inner=1
+        )
+        machine = Machine(module, space, engine="turbo")
+        return (
+            machine._compile("main"),
+            lambda: [machine.run("main").value],
+            expected,
+        )
+    cells = []
+    for _ in range(2):
+        module, space, expected = build_diamond_outer_short_inner(
+            outer=200, inner=1
+        )
+        cells.append(
+            BatchCell(module, space, MachineConfig(engine="turbo"))
+        )
+    machine = BatchMachine(cells)
+    return (
+        machine._compile("main"),
+        lambda: [result.value for result in machine.run("main")],
+        expected,
+    )
 
 
 def _trace_observation(result, trace) -> dict:
@@ -337,36 +374,36 @@ class TestDispatchContract:
     def test_adaptive_bypass_stops_short_trip_bulk_calls(self):
         # 200 outer iterations enter the 1-trip inner superblock once
         # each; after the warmup window the dispatch loop must clear
-        # the slot and stop paying the bulk-call prologue.
-        module, space, expected = build_diamond_outer_short_inner(
-            outer=200, inner=1
-        )
-        machine = Machine(module, space, engine="turbo")
-        tcf = machine._compile("main")
-        calls = 0
-        sb = tcf.superblocks()[0]
-        original = sb.run_plain
+        # the slot and stop paying the bulk-call prologue — on both
+        # fused tiers, which run the same loop.
+        for tier in TIERS:
+            compiled, run, expected = short_trip_runner(tier)
+            calls = 0
+            sb = compiled.superblocks()[0]
+            original = sb.run_plain
 
-        def counting(R, st, fp):
-            nonlocal calls
-            calls += 1
-            return original(R, st, fp)
+            def counting(R, st, env):
+                nonlocal calls
+                calls += 1
+                return original(R, st, env)
 
-        sb.run_plain = counting
-        try:
-            result = machine.run("main")
-        finally:
-            sb.run_plain = original
-        assert result.value == expected
-        assert calls == _ADAPT_WARMUP
+            sb.run_plain = counting
+            try:
+                values = run()
+            finally:
+                sb.run_plain = original
+            assert set(values) == {expected}, tier
+            assert calls == _ADAPT_WARMUP, tier
+            assert compiled.stats()["adaptive_cleared"] == 1, tier
 
     def test_adaptive_bypass_is_per_run(self):
         # The cleared slot is run-local state: a fresh run warms up
         # again (and stays bit-identical either way).
-        module, space, expected = build_diamond_outer_short_inner(
-            outer=200, inner=1
-        )
-        machine = Machine(module, space, engine="turbo")
-        first = machine.run("main")
-        second = machine.run("main")
-        assert first.value == second.value == expected
+        for tier in TIERS:
+            compiled, run, expected = short_trip_runner(tier)
+            first = run()
+            second = run()
+            assert set(first) == set(second) == {expected}, tier
+            stats = compiled.stats()
+            assert stats["bulk_calls"] == 2 * _ADAPT_WARMUP, tier
+            assert stats["adaptive_cleared"] == 2, tier
